@@ -3,7 +3,8 @@
 Subcommands: gen (write synthetic episodes to disk), run (one episode),
 eval (a suite with CSV + summary), ablate (paired toggle grid), dump
 (intermediate tensors for external plotting).  Exit codes: 0 success,
-1 runtime failure, 2 usage or config error.
+1 runtime failure (for eval, any failed episode), 2 usage or config
+error.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def cmd_eval(args) -> int:
     print(summary, end="")
     for eid, err in report.failures:
         print(f"episode {eid} failed: {err}", file=sys.stderr)
-    return 0
+    return 1 if report.failures else 0
 
 
 def _parse_grid(text: str) -> list[set[str]]:
@@ -243,6 +244,13 @@ def cmd_dump(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fewshift",
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
+        "--threads", type=_positive_int, default=os.cpu_count() or 1,
         help="episode-level parallelism (ignored when the centroid chain is on)",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -245,18 +245,17 @@ def forward_episode(
             qt_maps, protos, cfg.confidence_rule(), pool, norm,
             cfg.replace_mode, initial_table=qt_table,
         )
-        predictions = result.predictions
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
-        final_protos = result.prototypes
+        final_protos, final_table = result.prototypes, result.table
     else:
-        predictions = qt_table.predictions
         rounds = 0
         confident = [0] * n
-        final_protos = protos
+        final_protos, final_table = protos, qt_table
 
+    # the final table already scores the queries against final_protos
     l_clm = selftrain.class_matching_loss(
-        qt_maps, final_protos, cfg.margin, pool, norm
+        qt_maps, final_protos, cfg.margin, pool, norm, table=final_table
     )
     l_sfa = alignment.sfa_loss(qs_maps, qt_maps, cfg.ridge)
 
@@ -273,7 +272,7 @@ def forward_episode(
         group_by_class(qs_table), group_by_class(qt_table), cfg.ridge
     )
     return ForwardResult(
-        predictions, l_cls, l_sfa, l_spa, l_clm, k, rounds, confident,
+        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, k, rounds, confident,
         skipped, cents,
     )
 
@@ -380,8 +379,8 @@ class RunReport:
             f"ci95_half_width: {self.ci95:.4f}",
             f"fingerprint: {self.fingerprint}",
         ]
-        if self.failures:
-            lines.append(f"failures: {len(self.failures)}")
+        attempted = len(self.reports) + len(self.failures)
+        lines.append(f"failures: {len(self.failures)} of {attempted}")
         return "\n".join(lines) + "\n"
 
 
@@ -407,37 +406,30 @@ def evaluate(
     """
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
-    reports: list[EpisodeReport | None] = [None] * n_tasks
-    failures: list[tuple[str, str]] = []
+
+    def one(i: int, history):
+        """(report, centroids, failure) for episode i; loading counts too."""
+        eid = f"#{i}"  # until the stream has named the episode
+        try:
+            eid, ep = stream.episode(i)
+            return (*run_episode(ep, cfg, history, eid, task_id=i), None)
+        except Exception as exc:  # episode failure aborts that episode only
+            return None, None, (eid, repr(exc))
 
     chained = cfg.use_catt and cfg.feature_mode == "semantic"
     if chained or threads <= 1:
         history = None
+        outcomes = []
         for i in range(n_tasks):
-            eid, ep = stream.episode(i)
-            try:
-                reports[i], cents = run_episode(ep, cfg, history, eid, task_id=i)
-            except Exception as exc:  # episode failure aborts that episode only
-                failures.append((eid, repr(exc)))
-                continue
-            if chained:
-                history = cents
+            outcomes.append(one(i, history))
+            if chained and outcomes[-1][0] is not None:
+                history = outcomes[-1][1]
     else:
-        def one(i: int):
-            eid, ep = stream.episode(i)
-            try:
-                return i, run_episode(ep, cfg, None, eid, task_id=i)[0], None
-            except Exception as exc:
-                return i, None, (eid, repr(exc))
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, rep, fail in pool.map(one, range(n_tasks)):
-                if fail is not None:
-                    failures.append(fail)
-                else:
-                    reports[i] = rep
+            outcomes = list(pool.map(lambda i: one(i, None), range(n_tasks)))
 
-    done = [r for r in reports if r is not None]
+    done = [report for report, _, _ in outcomes if report is not None]
+    failures = [fail for _, _, fail in outcomes if fail is not None]
     if not done:
         raise RuntimeError("every episode failed")
     accs = np.array([r.accuracy for r in done])

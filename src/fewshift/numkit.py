@@ -1,4 +1,4 @@
-"""Dense numeric primitives: SVD values, K-means, moments, Cholesky, cosines.
+"""Dense numeric primitives: K-means, moments, Cholesky, cosines.
 
 All computation is float64 regardless of the single-precision storage
 format; the KL terms downstream involve matrix inverses and would
@@ -16,16 +16,6 @@ from .errors import NotPositiveDefiniteError
 from .rng import SplitMix64
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of m, descending, length min(rows, cols)."""
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains non-finite entries")
-    return np.linalg.svd(m, compute_uv=False)
-
-
 @dataclass
 class KMeansResult:
     centroids: np.ndarray      # (k, d)
@@ -34,14 +24,20 @@ class KMeansResult:
     iterations: int
 
 
-def _sq_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x||^2 - 2 x.c + ||c||^2; clamp tiny negatives from cancellation
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+def _sq_distances(
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
+    """||x||^2 - 2 x.c + ||c||^2 per point and centroid, clamped at 0.
+
+    sq_norms holds ||x||^2 for the points, computed once by the caller.
+    The product is scaled by -2 in place; a power-of-two scale is exact,
+    so this equals (2 x) . c term by term.
+    """
+    d2 = points @ centroids.T
+    d2 *= -2.0
+    d2 += sq_norms[:, None]
+    d2 += (centroids * centroids).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def kmeans(
@@ -68,6 +64,10 @@ def kmeans(
     if centroids.shape != (k, points.shape[1]):
         raise ValueError("init must be k x d")
 
+    sq_norms = (points * points).sum(axis=1)
+    rows = np.arange(n)
+    # one-hot membership matrix, cleared and refilled in place each iteration
+    onehot = np.zeros((n, k))
     assignments = np.zeros(n, dtype=np.intp)
     prev_inertia = math.inf
     inertia = math.inf
@@ -90,9 +90,10 @@ def kmeans(
         return counts
 
     for iterations in range(1, max_iter + 1):
-        d2 = _sq_distances(points, centroids)
+        d2 = _sq_distances(points, sq_norms, centroids)
+        onehot[rows, assignments] = 0.0
         assignments = d2.argmin(axis=1)
-        point_d2 = d2[np.arange(n), assignments]
+        point_d2 = d2[rows, assignments]
         counts = reseed_empty(assignments, point_d2)
         inertia = float(point_d2.sum())
         if verify_monotone and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
@@ -101,8 +102,7 @@ def kmeans(
             )
         prev_inertia = inertia
 
-        onehot = np.zeros((n, k))
-        onehot[np.arange(n), assignments] = 1.0
+        onehot[rows, assignments] = 1.0
         new_centroids = onehot.T @ points / np.maximum(counts, 1)[:, None]
         dead = counts == 0
         if dead.any():  # unreachable unless every cluster is a singleton
@@ -113,9 +113,9 @@ def kmeans(
             break
 
     # final assignment against the converged centroids
-    d2 = _sq_distances(points, centroids)
+    d2 = _sq_distances(points, sq_norms, centroids)
     assignments = d2.argmin(axis=1)
-    point_d2 = d2[np.arange(n), assignments]
+    point_d2 = d2[rows, assignments]
     counts = np.bincount(assignments, minlength=k)
     if (counts == 0).any():
         reseed_empty(assignments, point_d2)
@@ -123,8 +123,8 @@ def kmeans(
             members = assignments == j
             if members.any():
                 centroids[j] = points[members].mean(axis=0)
-        d2 = _sq_distances(points, centroids)
-        point_d2 = d2[np.arange(n), assignments]
+        d2 = _sq_distances(points, sq_norms, centroids)
+        point_d2 = d2[rows, assignments]
     inertia = float(point_d2.sum())
     return KMeansResult(centroids, assignments, inertia, iterations)
 
@@ -132,18 +132,25 @@ def kmeans(
 def farthest_first_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     """k seed centroids: one point from rng, then greedy farthest points.
 
-    Ties resolve to the lowest point index so the choice is reproducible.
+    Distances come from _sq_distances with the squared norms computed
+    once.  Ties resolve to the lowest point index so the choice
+    is reproducible.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
+    sq_norms = (points * points).sum(axis=1)
+
+    def sq_dist_to(p: int) -> np.ndarray:
+        return _sq_distances(points, sq_norms, points[p:p + 1])[:, 0]
+
     chosen = [rng.randint(n)]
-    min_d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    min_d2 = sq_dist_to(chosen[0])
     while len(chosen) < k:
         nxt = int(min_d2.argmax())
         chosen.append(nxt)
-        min_d2 = np.minimum(min_d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        np.minimum(min_d2, sq_dist_to(nxt), out=min_d2)
     return points[chosen].copy()
 
 

@@ -90,9 +90,13 @@ class PrototypeSet:
 @dataclass
 class SelfTrainResult:
     prototypes: PrototypeSet
-    predictions: np.ndarray
     rounds_used: int
     confident: list[list[int]]   # final confident query ids per class
+    table: ScoreTable            # queries scored against the final prototypes
+
+    @property
+    def predictions(self) -> np.ndarray:
+        return self.table.predictions
 
     @property
     def confident_count(self) -> int:
@@ -167,7 +171,7 @@ def promote_and_reclassify(
         table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
         rounds_used = round_no
         previous = confident
-    return SelfTrainResult(prototypes, table.predictions, rounds_used, confident)
+    return SelfTrainResult(prototypes, rounds_used, confident, table)
 
 
 def matching_hinge(pi_pos: float, pi_neg: float, margin: float) -> float:
@@ -182,17 +186,22 @@ def class_matching_loss(
     pooling: str = "support",
     normalize: bool = True,
     reduce: str = "sum",
+    table: ScoreTable | None = None,
 ) -> float:
     """Hinge on the softmax probability gap between a query's top-2 classes.
 
     Each query contributes max(pi_neg - pi_pos + margin, 0); the default
-    sums over queries, reduce="mean" averages instead.
+    sums over queries, reduce="mean" averages instead.  table, when
+    given, must be score_set of the queries against the prototypes with
+    the same pooling and normalization; it is used instead of scoring
+    them again.
     """
     if margin < 0:
         raise ValueError("margin must be >= 0")
     if reduce not in ("sum", "mean"):
         raise ValueError("reduce must be 'sum' or 'mean'")
-    table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+    if table is None:
+        table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
     total = 0.0
     for q in range(table.scores.shape[0]):
         pos, neg = table.top2(q)

@@ -22,7 +22,6 @@ from .numkit import (
     cosine_matrix,
     farthest_first_init,
     kmeans,
-    singular_values,
     softmax,
     unit_rows,
 )
@@ -120,14 +119,28 @@ def select_cluster_count(
     k_max: int = 64,
 ) -> int:
     """Cluster count = number of singular values of the mean-centered
-    locals that reach tau_rel times the largest one, clamped to bounds."""
+    locals that reach tau_rel times the largest one, clamped to bounds.
+
+    The singular values are the square roots of the eigenvalues of the
+    d x d Gram matrix of the centered locals, which costs one n x d x d
+    product instead of an n x d SVD.  Squaring limits their resolution to
+    about sqrt(eps) * sigma_1 (1.5e-8 relative), far below any useful
+    tau_rel.  A value that reaches tau_rel * sigma_1 counts; at an exact
+    tie last-bit rounding decides, and the Gram and SVD routes may
+    decide it differently, one count apart.
+    """
     if not 0.0 < tau_rel < 1.0:
         raise ValueError("tau_rel must lie in (0, 1)")
     if k_min > k_max:
         raise ValueError("k_min exceeds k_max")
     locals_matrix = np.asarray(locals_matrix, dtype=np.float64)
+    if locals_matrix.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
     centered = locals_matrix - locals_matrix.mean(axis=0)
-    sv = singular_values(centered)
+    if not np.isfinite(centered).all():
+        raise ValueError("matrix contains non-finite entries")
+    eig = np.linalg.eigvalsh(centered.T @ centered)  # ascending
+    sv = np.sqrt(np.maximum(eig[::-1], 0.0))
     scale = float(np.abs(locals_matrix).max()) if locals_matrix.size else 0.0
     if sv[0] <= 1e-10 * max(1.0, scale):
         return k_min  # degenerate: all rows equal

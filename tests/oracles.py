@@ -1,0 +1,112 @@
+"""Test-only reference implementations the fast pipeline paths must match.
+
+singular_values is the plain SVD that cluster-count selection is checked
+against.  kmeans_reference and farthest_first_reference are the direct
+forms of numkit.kmeans and numkit.farthest_first_init: they recompute
+every squared norm, build a scaled copy of the points and a fresh one-hot
+matrix per Lloyd iteration, and take one difference array per
+farthest-first step.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from fewshift.numkit import KMeansResult
+
+
+def singular_values(m: np.ndarray) -> np.ndarray:
+    """Singular values of m, descending, length min(rows, cols)."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def svd_cluster_count(locals_matrix, tau_rel=0.1, k_min=2, k_max=64) -> int:
+    """select_cluster_count computed from the SVD of the centered locals."""
+    locals_matrix = np.asarray(locals_matrix, dtype=np.float64)
+    centered = locals_matrix - locals_matrix.mean(axis=0)
+    sv = singular_values(centered)
+    scale = float(np.abs(locals_matrix).max()) if locals_matrix.size else 0.0
+    if sv[0] <= 1e-10 * max(1.0, scale):
+        return k_min
+    count = int((sv >= tau_rel * sv[0]).sum())
+    return min(max(count, k_min), k_max)
+
+
+def _sq_distances(points, centroids):
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        - 2.0 * points @ centroids.T
+        + (centroids * centroids).sum(axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0)
+
+
+def kmeans_reference(points, k, init, max_iter=100, tol=1e-6) -> KMeansResult:
+    """Lloyd iterations with the same stopping and reseed rules as kmeans."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = np.array(init, dtype=np.float64, copy=True)
+    assignments = np.zeros(n, dtype=np.intp)
+    iterations = 0
+
+    def reseed_empty(assignments, point_d2):
+        counts = np.bincount(assignments, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            movable = counts[assignments] >= 2
+            if not movable.any():
+                break
+            candidates = np.where(movable, point_d2, -1.0)
+            far = int(candidates.argmax())
+            counts[assignments[far]] -= 1
+            counts[j] += 1
+            assignments[far] = j
+            point_d2[far] = 0.0
+        return counts
+
+    for iterations in range(1, max_iter + 1):
+        d2 = _sq_distances(points, centroids)
+        assignments = d2.argmin(axis=1)
+        point_d2 = d2[np.arange(n), assignments]
+        counts = reseed_empty(assignments, point_d2)
+        onehot = np.zeros((n, k))
+        onehot[np.arange(n), assignments] = 1.0
+        new_centroids = onehot.T @ points / np.maximum(counts, 1)[:, None]
+        dead = counts == 0
+        if dead.any():
+            new_centroids[dead] = centroids[dead]
+        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        if movement < tol:
+            break
+
+    d2 = _sq_distances(points, centroids)
+    assignments = d2.argmin(axis=1)
+    point_d2 = d2[np.arange(n), assignments]
+    counts = np.bincount(assignments, minlength=k)
+    if (counts == 0).any():
+        reseed_empty(assignments, point_d2)
+        for j in range(k):
+            members = assignments == j
+            if members.any():
+                centroids[j] = points[members].mean(axis=0)
+        d2 = _sq_distances(points, centroids)
+        point_d2 = d2[np.arange(n), assignments]
+    return KMeansResult(centroids, assignments, float(point_d2.sum()), iterations)
+
+
+def farthest_first_reference(points, k, rng) -> list[int]:
+    """Indices farthest_first_init picks, by explicit difference arrays."""
+    points = np.asarray(points, dtype=np.float64)
+    chosen = [rng.randint(points.shape[0])]
+    min_d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        nxt = int(min_d2.argmax())
+        chosen.append(nxt)
+        min_d2 = np.minimum(min_d2, ((points - points[nxt]) ** 2).sum(axis=1))
+    return chosen
+

@@ -92,6 +92,7 @@ class TestEval:
         out = tmp_path / "r.csv"
         assert main(["eval", "--episodes", str(episodes_dir), "--out", str(out)]) == 0
         assert len(out.read_text().strip().split("\n")) == 4
+        assert "failures: 0 of 3" in out.with_suffix(".summary.txt").read_text()
 
     def test_variant_labeled_in_summary(self, tmp_path, synth_config):
         pipeline = tmp_path / "pipe.json"
@@ -118,6 +119,20 @@ class TestEval:
                     for line in out.read_text().strip().split("\n")]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+
+    def test_failed_episode_exits_1(self, tmp_path, episodes_dir, capsys):
+        victim = sorted((episodes_dir / "episode_001").glob("*.ftns"))[0]
+        data = victim.read_bytes()
+        victim.write_bytes(data[: len(data) // 2])
+        out = tmp_path / "r.csv"
+        code = main(["eval", "--episodes", str(episodes_dir), "--out", str(out)])
+        assert code == 1
+        summary = out.with_suffix(".summary.txt").read_text()
+        assert "failures: 1 of 3" in summary
+        assert len(out.read_text().strip().split("\n")) == 3  # header + 2 episodes
+        # the load failed before the stream named the episode: index 1
+        assert "episode #1 failed: TruncatedError" in capsys.readouterr().err
 
 
 class TestAblate:
@@ -182,6 +197,14 @@ class TestUsageErrors:
             main(["eval", "--synth", str(synth_config), "--bogus", "1",
                   "--out", str(tmp_path / "o.csv")])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_below_one_exits_2(self, synth_config, tmp_path, threads):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", threads, "eval", "--synth", str(synth_config),
+                  "--out", str(tmp_path / "o.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "o.csv").exists()
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

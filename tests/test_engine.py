@@ -171,11 +171,49 @@ class TestEvaluate:
         assert report.failures[0][0] == "synth0001"
         assert len(report.reports) == 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_load_failure_counted(self, threads):
+        class Unreadable(SyntheticTaskStream):
+            def episode(self, index):
+                if index in (0, 2):
+                    raise OSError(f"cannot read episode {index}")
+                return super().episode(index)
+
+        cfg = replace(PipelineConfig(), use_catt=False)
+        report = evaluate(Unreadable(SMALL), 4, cfg, threads=threads)
+        assert [eid for eid, _ in report.failures] == ["#0", "#2"]
+        assert [r.episode_id for r in report.reports] == ["synth0001", "synth0003"]
+        assert "failures: 2 of 4" in report.summary_text()
+
     def test_threads_match_serial(self):
         cfg = replace(PipelineConfig(), use_catt=False)
         serial = evaluate(SyntheticTaskStream(SMALL), 4, cfg, threads=1)
         parallel = evaluate(SyntheticTaskStream(SMALL), 4, cfg, threads=4)
         assert strip_wall_ms(serial.to_csv()) == strip_wall_ms(parallel.to_csv())
+
+
+class TestScoreOnce:
+    @pytest.mark.parametrize("self_training", [True, False])
+    def test_clm_reuses_final_table(self, monkeypatch, self_training):
+        from fewshift import patterns, selftrain
+
+        calls = []
+        real = patterns.score_set
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(patterns, "score_set", counting)
+        monkeypatch.setattr(selftrain, "score_set", counting)
+        ep, _ = generate_episode(SMALL)
+        cfg = replace(PipelineConfig(), self_training=self_training)
+        fwd = forward_episode(ep, cfg)
+        if self_training:
+            assert fwd.rounds >= 1
+        # the qs and qt tables plus one per promotion round; scoring the
+        # final prototypes again for L_clm would be one call more
+        assert len(calls) == 2 + fwd.rounds
 
 
 class TestAblate:

@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import (
@@ -15,10 +17,10 @@ from fewshift.numkit import (
     gaussian_moments,
     kmeans,
     log_softmax,
-    singular_values,
     softmax,
 )
 from fewshift.rng import SplitMix64
+from oracles import farthest_first_reference, kmeans_reference, singular_values
 
 
 def orthonormal_columns(rng, n, r, avoid_ones=False):
@@ -122,6 +124,97 @@ class TestKMeans:
         a = farthest_first_init(pts, 4, SplitMix64(9))
         b = farthest_first_init(pts, 4, SplitMix64(9))
         assert np.array_equal(a, b)
+
+
+def clustered_points(rng, n_clusters, per_cluster, d, spread=0.3):
+    centers = 4.0 * rng.normal(size=(n_clusters, d))
+    return np.vstack([c + spread * rng.normal(size=(per_cluster, d)) for c in centers])
+
+
+def assert_same_run(got, want):
+    assert np.array_equal(got.assignments, want.assignments)
+    assert got.iterations == want.iterations
+    assert np.allclose(got.centroids, want.centroids, rtol=0.0, atol=1e-12)
+    assert got.inertia == pytest.approx(want.inertia, rel=1e-12, abs=1e-12)
+
+
+class TestAgainstReference:
+    """The norm-cached K-means and init against their direct forms."""
+
+    CASES = [
+        ("random", lambda rng: rng.normal(size=(300, 8)), 6),
+        ("clustered", lambda rng: clustered_points(rng, 5, 60, 16), 5),
+        ("wide", lambda rng: rng.normal(size=(400, 64)), 20),
+    ]
+
+    @pytest.mark.parametrize("name,make,k", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_init_picks_same_points(self, name, make, k, seed):
+        pts = make(np.random.default_rng(100 + seed))
+        idx = farthest_first_reference(pts, k, SplitMix64(seed))
+        got = farthest_first_init(pts, k, SplitMix64(seed))
+        assert np.array_equal(got, pts[idx])
+
+    def test_init_ties_go_to_lowest_index(self):
+        # the rng's first pick is the centre; the four corners then tie at
+        # squared distance 1, and again after the first corner is taken
+        first = SplitMix64(0).randint(5)
+        corners = iter([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        pts = np.array([[0.0, 0.0] if i == first else next(corners) for i in range(5)])
+        later = [i for i in range(5) if i != first]
+        idx = farthest_first_reference(pts, 3, SplitMix64(0))
+        assert idx == [first, later[0], later[1]]
+        assert np.array_equal(farthest_first_init(pts, 3, SplitMix64(0)), pts[idx])
+
+    @pytest.mark.parametrize("name,make,k", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lloyd_matches_reference(self, name, make, k, seed):
+        pts = make(np.random.default_rng(200 + seed))
+        init = farthest_first_init(pts, k, SplitMix64(seed))
+        assert_same_run(kmeans(pts, k, init), kmeans_reference(pts, k, init))
+
+    def test_empty_cluster_reseed_matches_reference(self):
+        rng = np.random.default_rng(300)
+        pts = clustered_points(rng, 3, 40, 4)
+        # the last centroid is far from every point, so its cluster starts empty
+        init = np.vstack([pts[:3], np.full((1, 4), 1e3)])
+        want = kmeans_reference(pts, 4, init)
+        got = kmeans(pts, 4, init)
+        assert_same_run(got, want)
+        assert np.bincount(got.assignments, minlength=4).min() >= 1
+
+    def test_final_reseed_matches_reference(self):
+        # duplicates end up on two equal centroids; the final assignment
+        # sends them all to the lower index and must reseed the other
+        pts = np.vstack([np.ones((5, 3)) * 2.5, np.zeros((2, 3))])
+        init = np.vstack([pts[0], pts[0] + 1.0, pts[0] - 1.0])
+        assert_same_run(kmeans(pts, 3, init), kmeans_reference(pts, 3, init))
+
+    def test_max_iter_cut_matches_reference(self):
+        pts = clustered_points(np.random.default_rng(301), 4, 50, 6, spread=2.0)
+        init = farthest_first_init(pts, 7, SplitMix64(3))
+        got = kmeans(pts, 7, init, max_iter=2)
+        assert got.iterations == 2
+        assert_same_run(got, kmeans_reference(pts, 7, init, max_iter=2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 120),
+    d=st.integers(1, 12),
+    k=st.integers(1, 10),
+    clusters=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]),
+)
+def test_verify_monotone_never_raises(seed, n, d, k, clusters, spread):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    centers = 3.0 * rng.normal(size=(clusters, d))
+    pts = centers[rng.integers(clusters, size=n)] + spread * rng.normal(size=(n, d))
+    init = farthest_first_init(pts, k, SplitMix64(seed))
+    res = kmeans(pts, k, init, verify_monotone=True)
+    assert res.inertia >= 0.0
 
 
 class TestGaussianMoments:

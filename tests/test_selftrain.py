@@ -197,6 +197,21 @@ class TestClassMatchingLoss:
         mean = class_matching_loss(queries, protos, 1.5, reduce="mean")
         assert total == pytest.approx(3.0 * mean, abs=1e-12)
 
+    @pytest.mark.parametrize("self_training", [True, False])
+    def test_precomputed_table_matches_recomputed(self, self_training):
+        rng = np.random.default_rng(6)
+        protos = PrototypeSet.from_support(split_classes())
+        queries = [one_hot_map(c, 6, jiggle=0.05, rng=rng) for c in (0, 1, 2, 0, 1)]
+        if self_training:
+            result = promote_and_reclassify(queries, protos, ConfidenceRule())
+            assert result.rounds_used >= 1
+            protos, table = result.prototypes, result.table
+        else:
+            table = score_set(queries, protos.feature_maps())
+        for reduce in ("sum", "mean"):
+            reused = class_matching_loss(queries, protos, 1.5, reduce=reduce, table=table)
+            assert reused == class_matching_loss(queries, protos, 1.5, reduce=reduce)
+
     def test_negative_margin_rejected(self):
         protos = PrototypeSet.from_support(split_classes())
         with pytest.raises(ValueError):

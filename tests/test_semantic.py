@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans
@@ -19,6 +21,7 @@ from fewshift.semantic import (
     semantic_map,
 )
 from fewshift.synthgen import SynthConfig, generate_episode
+from oracles import singular_values, svd_cluster_count
 
 
 def matrix_with_spectrum(rng, n, cols, spectrum):
@@ -67,6 +70,72 @@ class TestSelectClusterCount:
     def test_bad_tau(self):
         with pytest.raises(ValueError):
             select_cluster_count(np.zeros((5, 3)), tau_rel=1.5)
+
+
+    def test_nonfinite_rejected(self):
+        m = np.ones((6, 3))
+        m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            select_cluster_count(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 200),
+    cols=st.integers(1, 64),
+    tau_rel=st.floats(0.01, 0.99),
+    offset=st.floats(-100.0, 100.0),
+)
+def test_gram_count_matches_svd_on_random_locals(seed, n, cols, tau_rel, offset):
+    rng = np.random.default_rng(seed)
+    scales = np.exp(rng.uniform(-3.0, 3.0, size=cols))
+    m = offset + rng.normal(size=(n, cols)) * scales
+    want = svd_cluster_count(m, tau_rel, 2, 64)
+    assert select_cluster_count(m, tau_rel, 2, 64) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    tau_rel=st.floats(0.02, 0.9),
+    above=st.integers(0, 6),
+    below=st.integers(1, 6),
+    side=st.sampled_from([1.0 + 1e-6, 1.0 - 1e-6]),
+    sigma1=st.floats(1e-3, 1e3),
+)
+def test_gram_count_near_threshold(seed, tau_rel, above, below, side, sigma1):
+    """A singular value 1e-6 (relative) off tau_rel * sigma_1 lands on the
+    same side of it for the Gram route as for the SVD."""
+    rng = np.random.default_rng(seed)
+    thresh = tau_rel * sigma1
+    spectrum = np.concatenate([
+        [sigma1],
+        rng.uniform(thresh * 1.01, sigma1, size=above),
+        [thresh * side],
+        rng.uniform(0.0, thresh * 0.99, size=below),
+    ])
+    spectrum = np.sort(spectrum)[::-1]
+    m = matrix_with_spectrum(rng, 80, 24, spectrum)
+    expected = 1 + above + (1 if side > 1.0 else 0)
+    assert svd_cluster_count(m, tau_rel, 1, 64) == expected
+    assert select_cluster_count(m, tau_rel, 1, 64) == expected
+
+
+def test_exact_tie_counts_within_rounding():
+    """At sigma_i == tau_rel * sigma_1 exactly (in the construction) the
+    computed values differ from the tie by last-bit rounding, and that
+    rounding decides whether the tied value counts.  Both routes land on
+    one of the two neighbouring counts, and on some seeds they disagree,
+    so which one is not pinned."""
+    tau_rel = 0.25
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m = matrix_with_spectrum(rng, 60, 16, [8.0, 5.0, 2.0, 1.0, 0.5])
+        sv = singular_values(m - m.mean(axis=0))
+        assert abs(sv[2] - tau_rel * sv[0]) <= 1e-13 * sv[0]
+        assert svd_cluster_count(m, tau_rel, 1, 64) in (2, 3)
+        assert select_cluster_count(m, tau_rel, 1, 64) in (2, 3)
 
 
 class TestFuseCentroids:
