@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .numkit import cholesky_logdet, gaussian_moments
-from .patterns import SimilarityPattern
 from .semantic import SemanticFeatureMap
 
 
@@ -59,17 +58,16 @@ def fit_semantic_gaussian(
 
 
 def fit_pattern_gaussian(
-    patterns: Sequence[SimilarityPattern],
+    patterns: np.ndarray,
     ridge: float = 1e-4,
     mode: str = "diagonal",
 ) -> GaussianStats:
-    """Per-coordinate fit over same-class pattern vectors."""
-    if len(patterns) < 2:
+    """Per-coordinate fit over same-class pattern vectors, one per row."""
+    samples = np.asarray(patterns, dtype=np.float64)
+    if samples.ndim != 2:
+        raise ValueError("patterns must be a (samples, length) matrix")
+    if samples.shape[0] < 2:
         raise ValueError("need at least 2 patterns")
-    classes = {p.class_index for p in patterns}
-    if len(classes) > 1:
-        raise ValueError(f"patterns mix classes {sorted(classes)}")
-    samples = np.vstack([p.vector for p in patterns])
     mean, cov = gaussian_moments(samples, ridge)
     if mode == "full":
         return GaussianStats(mean, cov, "full", samples.shape[0], ridge)
@@ -115,13 +113,14 @@ def sfa_loss(
 
 
 def spa_loss(
-    patterns_query_source: Sequence[Sequence[SimilarityPattern]],
-    patterns_query_target: Sequence[Sequence[SimilarityPattern]],
+    patterns_query_source: Sequence[np.ndarray],
+    patterns_query_target: Sequence[np.ndarray],
     ridge: float = 1e-4,
 ) -> tuple[float, int]:
     """Pattern alignment summed over classes.
 
-    Inputs are indexed [class][sample].  A class lacking two samples on
+    Inputs hold one (samples, length) pattern matrix per class, as in
+    ScoreTable.patterns.  A class lacking two samples on
     either side contributes zero; the count of skipped classes is
     returned alongside the sum.
     """

@@ -226,9 +226,8 @@ def cmd_dump(args) -> int:
 
     from .patterns import score_set
 
-    groups = [list(g) for g in support]
     for prefix, maps in (("qs", qs_maps), ("qt", qt_maps)):
-        table = score_set(maps, groups, cfg.pooling, cfg.normalize_scores)
+        table = score_set(maps, support, cfg.pooling, cfg.normalize_scores)
         for q in range(len(maps)):
             if args.stage == "scores":
                 write_tensor_file(
@@ -236,7 +235,7 @@ def cmd_dump(args) -> int:
                     out / f"scores_{prefix}{q}.ftns",
                 )
             else:
-                stacked = np.vstack([p.vector for p in table.patterns[q]])
+                stacked = np.vstack([p[q] for p in table.patterns])
                 write_tensor_file(
                     stacked.astype(np.float32), out / f"patterns_{prefix}{q}.ftns"
                 )

@@ -172,52 +172,54 @@ class ForwardResult:
 def _episode_maps(
     episode: Episode, cfg: PipelineConfig, history, task_id: int
 ):
-    """Embed every image; returns (support groups, qs maps, qt maps, k, centroids)."""
+    """Embed every image; returns (support groups, qs maps, qt maps, k, centroids).
+
+    All images are stacked once, support (class by class) first, then the
+    source and the target queries; the locals the clustering sees are
+    views of that stack, and the semantic embedding is one cosine product
+    over it followed by one quadrant fold.
+    """
     h, w, d = episode.grid
-    if cfg.feature_mode == "raw_local":
-        def raw(img, owner, domain):
-            return semantic.SemanticFeatureMap.from_raw(img, owner, domain)
-
-        support = [
-            [raw(m, f"s{c}_{j}", "source") for j, m in enumerate(group)]
-            for c, group in enumerate(episode.support)
-        ]
-        qs = [raw(m, f"qs{i}", "source") for i, m in enumerate(episode.query_source)]
-        qt = [raw(m, f"qt{i}", "target") for i, m in enumerate(episode.query_target)]
-        return support, qs, qt, 0, None
-
-    source_imgs = [m for group in episode.support for m in group]
-    source_imgs += list(episode.query_source)
-    source_locals = np.vstack(
-        [np.asarray(m, dtype=np.float64).reshape(-1, d) for m in source_imgs]
-    )
-    target_locals = np.vstack(
-        [np.asarray(m, dtype=np.float64).reshape(-1, d) for m in episode.query_target]
-    )
-    all_locals = np.vstack([source_locals, target_locals])
-    k_max = cfg.k_max if cfg.k_max else min(d // 2, 64)
-    k = semantic.select_cluster_count(all_locals, cfg.tau_rel, cfg.k_min, k_max)
-    params = (
-        semantic.AttentionParams.from_file(cfg.attention_weights, d)
-        if cfg.attention_weights
-        else semantic.AttentionParams.identity(d)
-    )
-    warm = history if cfg.use_catt else None
-    cents = semantic.cluster_task(
-        source_locals, target_locals, k, warm, params, cfg.merge, task_id
-    )
-
-    def embed(img, owner, domain):
-        grid = semantic.semantic_map(np.asarray(img, dtype=np.float64), cents)
-        return semantic.block_split_concat(grid, owner, domain)
-
-    support = [
-        [embed(m, f"s{c}_{j}", "source") for j, m in enumerate(group)]
-        for c, group in enumerate(episode.support)
+    n_support = sum(len(group) for group in episode.support)
+    n_source = n_support + len(episode.query_source)
+    images = [m for group in episode.support for m in group]
+    images += list(episode.query_source) + list(episode.query_target)
+    stack = np.asarray(images, dtype=np.float64)  # (n, h, w, d)
+    owners = [
+        f"s{c}_{j}" for c, group in enumerate(episode.support) for j in range(len(group))
     ]
-    qs = [embed(m, f"qs{i}", "source") for i, m in enumerate(episode.query_source)]
-    qt = [embed(m, f"qt{i}", "target") for i, m in enumerate(episode.query_target)]
-    return support, qs, qt, k, cents
+    owners += [f"qs{i}" for i in range(len(episode.query_source))]
+    owners += [f"qt{i}" for i in range(len(episode.query_target))]
+    domains = ["source"] * n_source + ["target"] * (len(images) - n_source)
+
+    if cfg.feature_mode == "raw_local":
+        maps = [
+            semantic.SemanticFeatureMap.from_raw(img, owner, domain)
+            for img, owner, domain in zip(stack, owners, domains)
+        ]
+        k, cents = 0, None
+    else:
+        all_locals = stack.reshape(-1, d)
+        k_max = cfg.k_max if cfg.k_max else min(d // 2, 64)
+        k = semantic.select_cluster_count(all_locals, cfg.tau_rel, cfg.k_min, k_max)
+        params = (
+            semantic.AttentionParams.from_file(cfg.attention_weights, d)
+            if cfg.attention_weights
+            else semantic.AttentionParams.identity(d)
+        )
+        warm = history if cfg.use_catt else None
+        split = n_source * h * w
+        cents = semantic.cluster_task(
+            all_locals[:split], all_locals[split:], k, warm, params, cfg.merge, task_id
+        )
+        grids = semantic.semantic_map(stack, cents)
+        maps = semantic.block_split_concat(grids, owners, domains)
+
+    support, at = [], 0
+    for group in episode.support:
+        support.append(maps[at:at + len(group)])
+        at += len(group)
+    return support, maps[n_support:n_source], maps[n_source:], k, cents
 
 
 def forward_episode(
@@ -228,22 +230,24 @@ def forward_episode(
 ) -> ForwardResult:
     """Label-blind pass: embeddings, losses, and target predictions.
 
-    Target labels are untouched; scoring happens in run_episode.
+    Target labels are untouched; scoring happens in run_episode.  Each
+    query set keeps one PooledBlocks cache for the whole episode, so
+    self-training, L_clm and L_spa only gather blocks already pooled.
     """
     n = episode.n_way
     support, qs_maps, qt_maps, k, cents = _episode_maps(episode, cfg, history, task_id)
-    support_groups = [list(group) for group in support]
     pool, norm = cfg.pooling, cfg.normalize_scores
 
-    qs_table = patterns.score_set(qs_maps, support_groups, pool, norm)
+    qs_table = patterns.score_set(qs_maps, support, pool, norm)
     l_cls = patterns.cross_entropy(qs_table.scores, episode.query_source_labels)
 
-    qt_table = patterns.score_set(qt_maps, support_groups, pool, norm)
-    protos = selftrain.PrototypeSet.from_support(support_groups)
+    qt_blocks = patterns.PooledBlocks(qt_maps, pool)
+    qt_table = patterns.score_set(qt_maps, support, pool, norm, qt_blocks)
+    protos = selftrain.PrototypeSet.from_support(support)
     if cfg.self_training:
         result = selftrain.promote_and_reclassify(
             qt_maps, protos, cfg.confidence_rule(), pool, norm,
-            cfg.replace_mode, initial_table=qt_table,
+            cfg.replace_mode, qt_blocks,
         )
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
@@ -261,16 +265,7 @@ def forward_episode(
 
     # pattern alignment uses the support-based (round-0) patterns on both
     # sides so the per-class vectors share one length
-    def group_by_class(table):
-        grouped = [[] for _ in range(n)]
-        for q in range(len(table.patterns)):
-            for c in range(n):
-                grouped[c].append(table.patterns[q][c])
-        return grouped
-
-    l_spa, skipped = alignment.spa_loss(
-        group_by_class(qs_table), group_by_class(qt_table), cfg.ridge
-    )
+    l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns, cfg.ridge)
     return ForwardResult(
         final_table.predictions, l_cls, l_sfa, l_spa, l_clm, k, rounds, confident,
         skipped, cents,

@@ -31,6 +31,14 @@ class TruncatedError(TensorFormatError):
     """Stream ended before the declared header or payload was complete."""
 
 
+class NonFiniteError(TensorFormatError):
+    """Payload holds a NaN or infinite float; carries its byte offset."""
+
+    def __init__(self, message: str, offset: int):
+        super().__init__(message)
+        self.offset = offset
+
+
 class TensorIOError(FewshiftError):
     """Underlying stream failed; carries the byte offset reached."""
 

@@ -10,6 +10,7 @@ Tensor container layout (all little-endian):
     6+4r    4*prod    payload, float32 row-major
 
 Manifests are JSON text records; see EpisodeManifest for the fields.
+Entry paths are relative to the manifest's directory and may not leave it.
 Target-query labels are parsed but quarantined at load time: they are
 reachable only through Episode.scoring_labels(), never through the
 accessors the pipeline consumes.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     ManifestError,
+    NonFiniteError,
     ShapeMismatchError,
     TensorFormatError,
     TensorIOError,
@@ -65,33 +68,47 @@ def write_tensor(tensor: np.ndarray, sink: BinaryIO) -> int:
 
 
 def read_tensor(source: BinaryIO) -> np.ndarray:
-    """Inverse of write_tensor; round trips are bit-exact."""
+    """Inverse of write_tensor; round trips are bit-exact.
+
+    A NaN or infinite payload float is rejected.  Every format error
+    names the stream's file, when the stream has one.
+    """
+    name = getattr(source, "name", None)
+    where = f"{os.fspath(name)}: " if isinstance(name, (str, os.PathLike)) else ""
     head = source.read(4)
     if len(head) < 4:
-        raise TruncatedError(f"stream ended inside the magic ({len(head)} bytes)")
+        raise TruncatedError(f"{where}stream ended inside the magic ({len(head)} bytes)")
     if head != MAGIC:
-        raise BadMagicError(f"expected {MAGIC!r}, got {head!r}")
+        raise BadMagicError(f"{where}expected {MAGIC!r}, got {head!r}")
     vr = source.read(2)
     if len(vr) < 2:
-        raise TruncatedError("stream ended inside the version/rank bytes")
+        raise TruncatedError(f"{where}stream ended inside the version/rank bytes")
     version, rank = struct.unpack("<BB", vr)
     if version != VERSION:
-        raise UnsupportedVersionError(f"version {version} not supported")
+        raise UnsupportedVersionError(f"{where}version {version} not supported")
     if not 1 <= rank <= MAX_RANK:
-        raise TensorFormatError(f"rank {rank} outside [1, {MAX_RANK}]")
+        raise TensorFormatError(f"{where}rank {rank} outside [1, {MAX_RANK}]")
     dim_bytes = source.read(4 * rank)
     if len(dim_bytes) < 4 * rank:
-        raise TruncatedError("stream ended inside the dims")
+        raise TruncatedError(f"{where}stream ended inside the dims")
     dims = struct.unpack(f"<{rank}I", dim_bytes)
     if any(d == 0 for d in dims):
-        raise TensorFormatError(f"zero dimension in {dims}")
+        raise TensorFormatError(f"{where}zero dimension in {dims}")
     count = int(np.prod(dims))
     payload = source.read(4 * count)
     if len(payload) < 4 * count:
         raise TruncatedError(
-            f"payload declares {count} floats, stream held {len(payload) // 4}"
+            f"{where}payload declares {count} floats, stream held {len(payload) // 4}"
         )
     data = np.frombuffer(payload, dtype="<f4", count=count)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = int(finite.argmin())
+        offset = 6 + 4 * rank + 4 * first
+        raise NonFiniteError(
+            f"{where}non-finite payload float {data[first]} at byte offset {offset}",
+            offset,
+        )
     return data.reshape(dims).copy()
 
 
@@ -112,11 +129,21 @@ class ManifestEntry:
     domain: str
 
 
+def _confined(path: str) -> bool:
+    """True when path is relative and, with '..' resolved, stays inside
+    the directory it is relative to."""
+    norm = os.path.normpath(path)
+    return not os.path.isabs(path) and norm != os.pardir and not norm.startswith(
+        os.pardir + os.sep
+    )
+
+
 @dataclass(frozen=True)
 class EpisodeManifest:
     """Declares one episode: support shots plus both query sets.
 
-    Invariants checked by validate(): support holds exactly n_way*k_shot
+    Invariants checked by validate(): every entry path stays inside the
+    episode directory, support holds exactly n_way*k_shot
     entries with k_shot per class, both query sets reference exactly the
     classes 0..n_way-1, and all tensors share the declared (h, w, d).
     """
@@ -132,6 +159,11 @@ class EpisodeManifest:
     query_target: tuple[ManifestEntry, ...]
 
     def validate(self) -> None:
+        for entry in self.support + self.query_source + self.query_target:
+            if not _confined(entry.path):
+                raise ManifestError(
+                    f"entry path {entry.path!r} leaves the episode directory"
+                )
         if self.n_way < 1 or self.k_shot < 1 or self.n_query < 1:
             raise ManifestError("n_way, k_shot, n_query must all be >= 1")
         if len(self.support) != self.n_way * self.k_shot:
@@ -266,7 +298,8 @@ def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
     expected = (manifest.height, manifest.width, manifest.channels)
 
     def load_entry(entry: ManifestEntry) -> np.ndarray:
-        arr = read_tensor_file(base / entry.path)
+        # the normalised path is the one validate() confined
+        arr = read_tensor_file(base / os.path.normpath(entry.path))
         if arr.shape != expected:
             raise ShapeMismatchError(
                 f"{entry.path}: shape {arr.shape}, manifest declares {expected}"

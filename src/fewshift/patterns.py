@@ -1,11 +1,14 @@
 """Image-to-class similarity: 3-D similarity tensors, pattern vectors,
-class scores, and the cross-entropy classification loss.
+and class scores.
 
 similarity_matrix is the reference path: it computes every entry with
 the same elementary operations a naive loop would use (per-pair dot and
 1-D norms), so oracle tests can demand bit-identical results.  score_set
-is the bulk path built on one matrix product per class; it agrees with
-the reference path to float tolerance and is what the engine runs.
+is the bulk path the engine runs; it agrees with the reference path to
+float tolerance.  It pools one block per (query set, prototype image)
+pair with one matrix product and keeps the blocks in a PooledBlocks
+cache, so a prototype image is never pooled twice against the same
+query set.
 """
 
 from __future__ import annotations
@@ -25,21 +28,15 @@ POOLING_SIDES = ("support", "query")
 class SimilarityPattern:
     """Pooled similarity vector of one query against one class.
 
-    parts holds one vector per support image (pattern entries for that
-    image's positions); vector is their concatenation in class order.
+    The vector concatenates one block per support image, in class order.
     """
 
     vector: np.ndarray
-    parts: list[np.ndarray]
     class_index: int | None = None
 
     @property
     def score(self) -> float:
         return float(self.vector.mean())
-
-    @property
-    def raw_sum(self) -> float:
-        return float(self.vector.sum())
 
 
 @dataclass
@@ -54,15 +51,6 @@ class ClassScores:
     pos: int
     neg: int
     patterns: list[SimilarityPattern]
-
-
-def _rank_top2(scores: np.ndarray) -> tuple[int, int]:
-    pos = int(scores.argmax())  # argmax returns the first (lowest) index on ties
-    rest = np.delete(scores, pos)
-    neg = int(rest.argmax())
-    if neg >= pos:
-        neg += 1
-    return pos, neg
 
 
 def similarity_matrix(
@@ -111,19 +99,79 @@ def similarity_pattern(
         raise ValueError("similarity tensor contains non-finite entries")
     axis = 1 if pooling == "support" else 2
     pooled = matrix.max(axis=axis)  # (K, S_s) or (K, S_q)
-    parts = [pooled[i].copy() for i in range(pooled.shape[0])]
-    return SimilarityPattern(pooled.reshape(-1).copy(), parts, class_index)
+    return SimilarityPattern(pooled.reshape(-1), class_index)
+
+
+class PooledBlocks:
+    """Pooled similarity blocks of one query set, one per prototype image.
+
+    The block of an image is the (Q, S) max-pooled cosine pattern of
+    every query against that image.  It is computed the first time a
+    class group holds the image and kept, together with the image, for
+    the life of the cache; later groups only gather it.  The query rows
+    are normalised once, on the first miss.
+    """
+
+    def __init__(self, queries: Sequence[SemanticFeatureMap], pooling: str = "support"):
+        if pooling not in POOLING_SIDES:
+            raise ValueError(f"pooling must be one of {POOLING_SIDES}")
+        self.queries = list(queries)
+        self.pooling = pooling
+        self._q_unit: np.ndarray | None = None
+        self._blocks: dict[int, tuple[SemanticFeatureMap, np.ndarray]] = {}
+
+    def serves(self, queries: Sequence[SemanticFeatureMap], pooling: str) -> bool:
+        return pooling == self.pooling and len(queries) == len(self.queries) and all(
+            a is b for a, b in zip(queries, self.queries)
+        )
+
+    def class_pattern(self, group: Sequence[SemanticFeatureMap]) -> np.ndarray:
+        """(Q, L) patterns of every query against one class's images."""
+        misses = {id(m): m for m in group if id(m) not in self._blocks}
+        if misses:
+            self._pool(list(misses.values()))
+        return np.concatenate([self._blocks[id(m)][1] for m in group], axis=1)
+
+    def _pool(self, images: list[SemanticFeatureMap]) -> None:
+        """One product of the query rows with the images' unit rows."""
+        if self._q_unit is None:
+            self._q_unit = unit_rows(np.vstack([m.features for m in self.queries]))
+        n_q, s_q = len(self.queries), self.queries[0].positions
+        s_s = images[0].positions
+        s_unit = unit_rows(np.vstack([m.features for m in images]))
+        sims = (self._q_unit @ s_unit.T).reshape(n_q, s_q, len(images), s_s)
+        # clip is monotone, so clipping the pooled maxima equals pooling
+        # the clipped cosines
+        if self.pooling == "support":
+            pooled = np.clip(sims.max(axis=1), -1.0, 1.0)      # (Q, m, S_s)
+            blocks = [pooled[:, i] for i in range(len(images))]
+        else:
+            pooled = np.clip(sims.max(axis=3), -1.0, 1.0)      # (Q, S_q, m)
+            blocks = [pooled[:, :, i] for i in range(len(images))]
+        for m, block in zip(images, blocks):
+            self._blocks[id(m)] = (m, block)
 
 
 @dataclass
 class ScoreTable:
-    """Batched scores for many queries against the same class prototypes."""
+    """Scores of many queries against the same class prototypes."""
 
-    scores: np.ndarray                        # (Q, N)
-    patterns: list[list[SimilarityPattern]]   # [query][class]
+    scores: np.ndarray            # (Q, N)
+    patterns: list[np.ndarray]    # per class, (Q, L_c)
 
-    def top2(self, q: int) -> tuple[int, int]:
-        return _rank_top2(self.scores[q])
+    def top2(self) -> tuple[np.ndarray, np.ndarray]:
+        """Best and runner-up class of every query; ties go to the lower
+        index, so the two differ whenever at least two classes exist."""
+        if self.scores.shape[1] < 2:
+            raise ValueError("need at least 2 classes to rank")
+        pos = self.scores.argmax(axis=1)  # first (lowest) index on ties
+        rest = self.scores.copy()
+        rest[np.arange(len(pos)), pos] = -np.inf
+        return pos, rest.argmax(axis=1)
+
+    def raw_sums(self) -> np.ndarray:
+        """(Q, N) unnormalised pattern sums."""
+        return np.column_stack([p.sum(axis=1) for p in self.patterns])
 
     @property
     def predictions(self) -> np.ndarray:
@@ -135,39 +183,22 @@ def score_set(
     classes: Sequence[Sequence[SemanticFeatureMap]],
     pooling: str = "support",
     normalize: bool = True,
+    blocks: PooledBlocks | None = None,
 ) -> ScoreTable:
-    """Score every query against every class with one product per class.
+    """Score every query against every class.
 
     normalize=True divides the pattern sum by its length (the mean), so
     scores are resolution-independent; False keeps the literal raw sum.
+    blocks, when given, must be a cache of these queries under this
+    pooling; images it already holds are not pooled again.
     """
-    if pooling not in POOLING_SIDES:
-        raise ValueError(f"pooling must be one of {POOLING_SIDES}")
-    n_q = len(queries)
-    n_classes = len(classes)
-    q_unit = np.vstack([unit_rows(m.features) for m in queries])
-    s_q = queries[0].positions
-    scores = np.empty((n_q, n_classes))
-    patterns: list[list[SimilarityPattern]] = [[] for _ in range(n_q)]
-    for c, prototypes in enumerate(classes):
-        shots = len(prototypes)
-        s_s = prototypes[0].positions
-        s_unit = np.vstack([unit_rows(m.features) for m in prototypes])
-        sims = np.clip(q_unit @ s_unit.T, -1.0, 1.0)
-        if pooling == "support":
-            # (Q, S_q, shots*S_s) -> best query position per support position
-            pooled = sims.reshape(n_q, s_q, shots * s_s).max(axis=1)
-            per_img = pooled.reshape(n_q, shots, s_s)
-        else:
-            pooled4 = sims.reshape(n_q, s_q, shots, s_s).max(axis=3)
-            per_img = pooled4.transpose(0, 2, 1)  # (Q, shots, S_q)
-            pooled = per_img.reshape(n_q, -1)
-        for q in range(n_q):
-            vec = pooled[q].reshape(-1)
-            patterns[q].append(
-                SimilarityPattern(vec, [per_img[q, i].copy() for i in range(shots)], c)
-            )
-            scores[q, c] = vec.mean() if normalize else vec.sum()
+    if blocks is None:
+        blocks = PooledBlocks(queries, pooling)
+    elif not blocks.serves(queries, pooling):
+        raise ValueError("blocks were pooled for other queries or pooling")
+    patterns = [blocks.class_pattern(group) for group in classes]
+    reduce = np.mean if normalize else np.sum
+    scores = np.column_stack([reduce(p, axis=1) for p in patterns])
     return ScoreTable(scores, patterns)
 
 
@@ -181,8 +212,9 @@ def class_scores(
     if len(classes) < 2:
         raise ValueError("need at least 2 classes to rank")
     table = score_set([query], classes, pooling, normalize)
-    pos, neg = table.top2(0)
-    return ClassScores(table.scores[0], pos, neg, table.patterns[0])
+    pos, neg = table.top2()
+    patterns = [SimilarityPattern(p[0], c) for c, p in enumerate(table.patterns)]
+    return ClassScores(table.scores[0], int(pos[0]), int(neg[0]), patterns)
 
 
 def cross_entropy(scores: np.ndarray, labels: Sequence[int]) -> float:
@@ -195,19 +227,3 @@ def cross_entropy(scores: np.ndarray, labels: Sequence[int]) -> float:
             raise ValueError(f"label {lab} outside [0, {n_classes})")
         total -= log_softmax(scores[q])[lab]
     return total / len(labels)
-
-
-def classification_loss(
-    queries: Sequence[SemanticFeatureMap],
-    labels: Sequence[int],
-    classes: Sequence[Sequence[SemanticFeatureMap]],
-    pooling: str = "support",
-    normalize: bool = True,
-) -> float:
-    """Mean cross-entropy of the softmax over class scores at the labels."""
-    n_classes = len(classes)
-    for lab in labels:
-        if not 0 <= lab < n_classes:
-            raise ValueError(f"label {lab} outside [0, {n_classes})")
-    table = score_set(queries, classes, pooling, normalize)
-    return cross_entropy(table.scores, labels)

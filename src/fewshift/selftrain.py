@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .numkit import softmax
-from .patterns import ScoreTable, score_set
+from .patterns import PooledBlocks, ScoreTable, score_set
 from .semantic import SemanticFeatureMap
 
 CONFIDENCE_MEASURES = ("score_ratio", "score_margin", "raw_sum")
@@ -79,13 +79,6 @@ class PrototypeSet:
     def feature_maps(self) -> list[list[SemanticFeatureMap]]:
         return [[p.feature_map for p in group] for group in self.per_class]
 
-    def target_owned_classes(self) -> set[int]:
-        return {
-            c
-            for c, group in enumerate(self.per_class)
-            if any(p.origin == "target" for p in group)
-        }
-
 
 @dataclass
 class SelfTrainResult:
@@ -106,25 +99,15 @@ class SelfTrainResult:
 def _confident_from_table(
     table: ScoreTable, rule: ConfidenceRule, n_classes: int
 ) -> list[list[int]]:
+    pos, neg = table.top2()
+    rows = np.arange(len(pos))
+    s_pos, s_neg = table.scores[rows, pos], table.scores[rows, neg]
+    raw_pos = table.raw_sums()[rows, pos]
     per_class: list[list[int]] = [[] for _ in range(n_classes)]
-    for q in range(table.scores.shape[0]):
-        pos, neg = table.top2(q)
-        raw_pos = table.patterns[q][pos].raw_sum
-        if rule.passes(table.scores[q, pos], table.scores[q, neg], raw_pos):
-            per_class[pos].append(q)
+    for q, c in enumerate(pos.tolist()):
+        if rule.passes(s_pos[q], s_neg[q], raw_pos[q]):
+            per_class[c].append(q)
     return per_class
-
-
-def select_confident(
-    queries: Sequence[SemanticFeatureMap],
-    prototypes: PrototypeSet,
-    rule: ConfidenceRule,
-    pooling: str = "support",
-    normalize: bool = True,
-) -> list[list[int]]:
-    """Query ids that pass the confidence rule, listed under their top class."""
-    table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
-    return _confident_from_table(table, rule, len(prototypes.per_class))
 
 
 def promote_and_reclassify(
@@ -134,21 +117,23 @@ def promote_and_reclassify(
     pooling: str = "support",
     normalize: bool = True,
     replace_mode: str = "replace",
-    initial_table: ScoreTable | None = None,
+    blocks: PooledBlocks | None = None,
 ) -> SelfTrainResult:
     """Iterate confident selection and prototype promotion.
 
     Classes with at least one confident query swap their prototypes for
     those queries (or add them, in union mode); classes with none keep
     what they have.  Predictions always reflect the final prototype set.
+    blocks, when given, is the query set's cache (see score_set); every
+    round then pools only the images promoted for the first time.
     """
     if replace_mode not in REPLACE_MODES:
         raise ValueError(f"replace_mode must be one of {REPLACE_MODES}")
     prototypes = PrototypeSet([list(group) for group in initial.per_class])
     n_classes = len(prototypes.per_class)
-    table = initial_table
-    if table is None:
-        table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+    if blocks is None:
+        blocks = PooledBlocks(queries, pooling)
+    table = score_set(queries, prototypes.feature_maps(), pooling, normalize, blocks)
     previous: list[list[int]] = [[] for _ in range(n_classes)]
     confident = previous
     rounds_used = 0
@@ -168,7 +153,7 @@ def promote_and_reclassify(
                 prototypes.per_class[c] = base + promoted
             else:
                 prototypes.per_class[c] = promoted
-        table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+        table = score_set(queries, prototypes.feature_maps(), pooling, normalize, blocks)
         rounds_used = round_no
         previous = confident
     return SelfTrainResult(prototypes, rounds_used, confident, table)
@@ -202,9 +187,9 @@ def class_matching_loss(
         raise ValueError("reduce must be 'sum' or 'mean'")
     if table is None:
         table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+    pos, neg = table.top2()
     total = 0.0
-    for q in range(table.scores.shape[0]):
-        pos, neg = table.top2(q)
-        pi = softmax(table.scores[q])
-        total += matching_hinge(pi[pos], pi[neg], margin)
+    for q, scores in enumerate(table.scores):
+        pi = softmax(scores)
+        total += matching_hinge(pi[pos[q]], pi[neg[q]], margin)
     return total / len(queries) if reduce == "mean" else total

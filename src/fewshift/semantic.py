@@ -232,38 +232,49 @@ def cluster_task(
     return SemanticCentroids(merged, source="merged", task_id=task_id)
 
 
-def semantic_map(image: np.ndarray, centroids: SemanticCentroids) -> np.ndarray:
-    """Per-position cosine of each local vector against each centroid."""
-    h, w, d = image.shape
+def semantic_map(images: np.ndarray, centroids: SemanticCentroids) -> np.ndarray:
+    """Per-position cosine of each local vector against each centroid.
+
+    images is one (h, w, d) image or a stack (n, h, w, d); the output
+    keeps the leading axes with the centroids as the last one.  A stack
+    costs one matrix product.
+    """
+    images = np.asarray(images, dtype=np.float64)
+    d = images.shape[-1]
     if d != centroids.centroids.shape[1]:
         raise ValueError(
             f"local dim {d} does not match centroid dim {centroids.centroids.shape[1]}"
         )
-    rows = np.asarray(image, dtype=np.float64).reshape(h * w, d)
-    return cosine_matrix(rows, centroids.centroids).reshape(h, w, centroids.k)
+    cos = cosine_matrix(images.reshape(-1, d), centroids.centroids)
+    return cos.reshape(*images.shape[:-1], centroids.k)
 
 
-def block_split_concat(
-    cosine_grid: np.ndarray, owner: str = "", domain: str = ""
-) -> SemanticFeatureMap:
+def block_split_concat(cosine_grid: np.ndarray, owner="", domain=""):
     """Fold the four spatial quadrants into the channel axis.
 
     The grid must have even height and width.  Position (i, j) of the
     half-resolution output concatenates the top-left, top-right,
     bottom-left, bottom-right quadrant values, in that order, giving 4k
     channels.  The mapping is a bijection on the values.
+
+    One (h, w, k) grid gives one SemanticFeatureMap.  A stack (n, h, w, k)
+    is folded in one pass and gives a list of n maps viewing the folded
+    array; owner and domain are then sequences with one entry per image.
     """
-    h, w, k = cosine_grid.shape
+    grids = np.asarray(cosine_grid, dtype=np.float64)
+    single = grids.ndim == 3
+    if single:
+        grids, owner, domain = grids[None], [owner], [domain]
+    n, h, w, k = grids.shape
     if h % 2 or w % 2:
         raise ValueError(f"grid must have even height and width, got {h}x{w}")
     h2, w2 = h // 2, w // 2
-    folded = np.concatenate(
-        [
-            cosine_grid[:h2, :w2],
-            cosine_grid[:h2, w2:],
-            cosine_grid[h2:, :w2],
-            cosine_grid[h2:, w2:],
-        ],
-        axis=2,
-    )
-    return SemanticFeatureMap(folded.reshape(h2 * w2, 4 * k), h2, w2, owner, domain)
+    # axes (image, row half, row, column half, column, k): moving the two
+    # halves next to k makes the channel blocks TL, TR, BL, BR
+    quads = grids.reshape(n, 2, h2, 2, w2, k).transpose(0, 2, 4, 1, 3, 5)
+    folded = quads.reshape(n, h2 * w2, 4 * k)
+    maps = [
+        SemanticFeatureMap(rows, h2, w2, o, dm)
+        for rows, o, dm in zip(folded, owner, domain, strict=True)
+    ]
+    return maps[0] if single else maps

@@ -6,6 +6,11 @@ forms of numkit.kmeans and numkit.farthest_first_init: they recompute
 every squared norm, build a scaled copy of the points and a fresh one-hot
 matrix per Lloyd iteration, and take one difference array per
 farthest-first step.
+
+classification_loss, select_confident and target_owned_classes are the
+convenience forms of scoring and self-training that only tests use.
+reference_scores builds a score table from the reference path
+(similarity_matrix, then similarity_pattern, then mean or sum).
 """
 
 from __future__ import annotations
@@ -13,6 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from fewshift.numkit import KMeansResult
+from fewshift.patterns import (
+    ScoreTable,
+    cross_entropy,
+    score_set,
+    similarity_matrix,
+    similarity_pattern,
+)
+from fewshift.selftrain import _confident_from_table
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -110,3 +123,41 @@ def farthest_first_reference(points, k, rng) -> list[int]:
         min_d2 = np.minimum(min_d2, ((points - points[nxt]) ** 2).sum(axis=1))
     return chosen
 
+
+
+def reference_scores(queries, classes, pooling="support", normalize=True) -> ScoreTable:
+    """score_set computed one (query, class) pair at a time."""
+    rows = [
+        [similarity_pattern(similarity_matrix(q, group), pooling).vector for group in classes]
+        for q in queries
+    ]
+    patterns = [np.vstack([row[c] for row in rows]) for c in range(len(classes))]
+    scores = np.array(
+        [[v.mean() if normalize else v.sum() for v in row] for row in rows]
+    )
+    return ScoreTable(scores, patterns)
+
+
+def classification_loss(queries, labels, classes, pooling="support", normalize=True) -> float:
+    """Mean cross-entropy of the softmax over class scores at the labels."""
+    n_classes = len(classes)
+    for lab in labels:
+        if not 0 <= lab < n_classes:
+            raise ValueError(f"label {lab} outside [0, {n_classes})")
+    table = score_set(queries, classes, pooling, normalize)
+    return cross_entropy(table.scores, labels)
+
+
+def select_confident(queries, prototypes, rule, pooling="support", normalize=True):
+    """Query ids that pass the confidence rule, listed under their top class."""
+    table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+    return _confident_from_table(table, rule, len(prototypes.per_class))
+
+
+def target_owned_classes(prototypes) -> set[int]:
+    """Classes holding at least one promoted target prototype."""
+    return {
+        c
+        for c, group in enumerate(prototypes.per_class)
+        if any(p.origin == "target" for p in group)
+    }

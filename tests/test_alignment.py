@@ -15,7 +15,6 @@ from fewshift.alignment import (
 )
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import gaussian_moments
-from fewshift.patterns import SimilarityPattern
 from fewshift.semantic import SemanticFeatureMap
 
 
@@ -24,9 +23,9 @@ def map_from(rows):
     return SemanticFeatureMap(rows, 1, rows.shape[0])
 
 
-def pattern_from(vec, class_index=0):
-    vec = np.asarray(vec, dtype=np.float64)
-    return SimilarityPattern(vec, [vec.copy()], class_index)
+def patterns_from(vectors):
+    """One (samples, length) pattern matrix, as ScoreTable holds per class."""
+    return np.vstack([np.asarray(v, dtype=np.float64) for v in vectors])
 
 
 def one_d(mu, var, ridge=0.0):
@@ -55,32 +54,35 @@ class TestFits:
             fit_semantic_gaussian([map_from(np.ones((1, 3)))])
 
     def test_identical_patterns(self):
-        pats = [pattern_from([0.2, 0.4, 0.6]) for _ in range(3)]
+        pats = patterns_from([[0.2, 0.4, 0.6]] * 3)
         stats = fit_pattern_gaussian(pats, ridge=1e-4)
         assert np.allclose(stats.mean, [0.2, 0.4, 0.6], atol=1e-15)
         assert np.allclose(stats.cov, np.full(3, 1e-4), atol=1e-15)
 
     def test_two_pattern_variance(self):
-        pats = [pattern_from(np.zeros(4)), pattern_from(np.full(4, 2.0))]
+        pats = patterns_from([np.zeros(4), np.full(4, 2.0)])
         stats = fit_pattern_gaussian(pats, ridge=0.0)
         assert np.array_equal(stats.mean, np.ones(4))
         assert np.array_equal(stats.cov, np.full(4, 2.0))
 
     def test_pattern_fit_matches_moments_diagonal(self):
         rng = np.random.default_rng(1)
-        pats = [pattern_from(rng.normal(size=5)) for _ in range(8)]
+        pats = rng.normal(size=(8, 5))
         stats = fit_pattern_gaussian(pats, ridge=1e-4)
-        _, cov = gaussian_moments(np.vstack([p.vector for p in pats]), 1e-4)
+        _, cov = gaussian_moments(pats, 1e-4)
         assert np.array_equal(stats.cov, np.diag(cov))
 
-    def test_mixed_classes_rejected(self):
-        pats = [pattern_from(np.zeros(3), 0), pattern_from(np.ones(3), 1)]
+    def test_non_matrix_rejected(self):
+        # a class's patterns share one length; rows of two classes with
+        # different shot counts, or one flat vector, are not a sample matrix
         with pytest.raises(ValueError):
-            fit_pattern_gaussian(pats)
+            fit_pattern_gaussian([np.zeros(3), np.ones(6)])
+        with pytest.raises(ValueError):
+            fit_pattern_gaussian(np.zeros(3))
 
     def test_too_few_patterns(self):
         with pytest.raises(ValueError):
-            fit_pattern_gaussian([pattern_from(np.zeros(3))])
+            fit_pattern_gaussian(patterns_from([np.zeros(3)]))
 
 
 class TestKLGaussian:
@@ -187,13 +189,8 @@ class TestSfaLoss:
 class TestSpaLoss:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(8)
-        per_class = [
-            [pattern_from(rng.normal(size=6), c) for _ in range(4)] for c in range(3)
-        ]
-        copied = [
-            [pattern_from(p.vector.copy(), c) for p in group]
-            for c, group in enumerate(per_class)
-        ]
+        per_class = [rng.normal(size=(4, 6)) for _ in range(3)]
+        copied = [group.copy() for group in per_class]
         value, skipped = spa_loss(per_class, copied)
         assert abs(value) <= 1e-8
         assert skipped == 0
@@ -201,13 +198,10 @@ class TestSpaLoss:
     def test_skip_rule(self):
         rng = np.random.default_rng(9)
         qs = [
-            [pattern_from(rng.normal(size=4), 0) for _ in range(3)],
-            [pattern_from(rng.normal(size=4), 1)],  # degenerate side
+            rng.normal(size=(3, 4)),
+            rng.normal(size=(1, 4)),  # degenerate side
         ]
-        qt = [
-            [pattern_from(rng.normal(size=4), 0) for _ in range(3)],
-            [pattern_from(rng.normal(size=4), 1) for _ in range(3)],
-        ]
+        qt = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))]
         value, skipped = spa_loss(qs, qt)
         assert skipped == 1
         only_class0, _ = spa_loss([qs[0]], [qt[0]])

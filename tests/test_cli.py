@@ -132,7 +132,9 @@ class TestEval:
         assert "failures: 1 of 3" in summary
         assert len(out.read_text().strip().split("\n")) == 3  # header + 2 episodes
         # the load failed before the stream named the episode: index 1
-        assert "episode #1 failed: TruncatedError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "episode #1 failed: TruncatedError" in err
+        assert victim.name in err  # the message names the bad file
 
 
 class TestAblate:
@@ -173,6 +175,34 @@ class TestDump:
         assert code == 0
         vec = read_tensor_file(sorted(out.glob("scores_qt*.ftns"))[0])
         assert vec.shape == (3,)
+
+    def test_patterns_stage(self, tmp_path, episodes_dir):
+        import numpy as np
+
+        from fewshift.engine import PipelineConfig, _episode_maps
+        from fewshift.feature_store import EpisodeManifest, load_episode
+        from fewshift.patterns import similarity_matrix, similarity_pattern
+
+        manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
+        out = tmp_path / "patterns"
+        code = main(["dump", "--episode", str(manifest), "--stage", "patterns",
+                     "--out", str(out)])
+        assert code == 0
+        main(["dump", "--episode", str(manifest), "--stage", "scores", "--out", str(out)])
+        assert len(list(out.glob("patterns_q*.ftns"))) == 2 * 3 * 4
+        episode = load_episode(EpisodeManifest.load(manifest), manifest.parent)
+        support, qs_maps, qt_maps, _, _ = _episode_maps(episode, PipelineConfig(), None, 0)
+        for prefix, maps in (("qs", qs_maps), ("qt", qt_maps)):
+            for q, query in enumerate(maps):
+                rows = read_tensor_file(out / f"patterns_{prefix}{q}.ftns")
+                want = np.vstack([
+                    similarity_pattern(similarity_matrix(query, group)).vector
+                    for group in support
+                ])
+                assert rows.shape == want.shape == (3, 9)  # classes x folded 3x3 grid
+                assert np.allclose(rows, want, rtol=0.0, atol=1e-6)
+                scores = read_tensor_file(out / f"scores_{prefix}{q}.ftns")
+                assert np.allclose(rows.mean(axis=1), scores, rtol=0.0, atol=1e-6)
 
     def test_centroids_stage(self, tmp_path, episodes_dir):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]

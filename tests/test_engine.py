@@ -194,26 +194,32 @@ class TestEvaluate:
 
 class TestScoreOnce:
     @pytest.mark.parametrize("self_training", [True, False])
-    def test_clm_reuses_final_table(self, monkeypatch, self_training):
-        from fewshift import patterns, selftrain
+    def test_no_block_pooled_twice(self, monkeypatch, self_training):
+        from fewshift import patterns
 
-        calls = []
-        real = patterns.score_set
+        pooled = []  # (cache, image); holding both keeps their ids unique
+        real = patterns.PooledBlocks._pool
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def recording(self, images):
+            pooled.extend((self, m) for m in images)
+            return real(self, images)
 
-        monkeypatch.setattr(patterns, "score_set", counting)
-        monkeypatch.setattr(selftrain, "score_set", counting)
+        monkeypatch.setattr(patterns.PooledBlocks, "_pool", recording)
         ep, _ = generate_episode(SMALL)
         cfg = replace(PipelineConfig(), self_training=self_training)
         fwd = forward_episode(ep, cfg)
         if self_training:
             assert fwd.rounds >= 1
-        # the qs and qt tables plus one per promotion round; scoring the
-        # final prototypes again for L_clm would be one call more
-        assert len(calls) == 2 + fwd.rounds
+        keys = [(id(cache), id(m)) for cache, m in pooled]
+        assert len(keys) == len(set(keys))
+        # one cache per query set, each holding every support image; the
+        # target set's cache adds the queries promoted during self-training
+        caches = {id(cache): cache for cache, _ in pooled}
+        assert len(caches) == 2
+        n_support = sum(len(group) for group in ep.support)
+        per_cache = [sum(1 for c, _ in pooled if c is cache) for cache in caches.values()]
+        assert min(per_cache) == n_support
+        assert (max(per_cache) > n_support) == self_training
 
 
 class TestAblate:

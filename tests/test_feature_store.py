@@ -1,6 +1,7 @@
 """Tests for the tensor container, manifests, and episode loading."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from fewshift.errors import (
     BadMagicError,
     ManifestError,
+    NonFiniteError,
     ShapeMismatchError,
     TruncatedError,
     UnsupportedVersionError,
@@ -98,6 +100,32 @@ class TestTensorFormat:
             write_tensor(np.ones(3, dtype=np.float32), FailingSink(allow=2))
         assert err.value.offset == 6  # magic + version/rank written
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 5, 11])
+    def test_non_finite_payload_rejected_with_offset(self, bad, index):
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+        arr.flat[index] = bad
+        arr.flat[11 if index < 11 else 0] = np.nan  # a later bad value is not the first
+        sink = io.BytesIO()
+        write_tensor(arr, sink)
+        with pytest.raises(NonFiniteError) as err:
+            read_tensor(io.BytesIO(sink.getvalue()))
+        first = min(index, 11 if index < 11 else 0)
+        assert err.value.offset == 6 + 4 * 2 + 4 * first
+        assert f"byte offset {err.value.offset}" in str(err.value)
+
+    def test_file_errors_name_the_path(self, tmp_path):
+        path = tmp_path / "cut.ftns"
+        write_tensor_file(np.ones((2, 3), dtype=np.float32), path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(TruncatedError, match="cut.ftns"):
+            read_tensor_file(path)
+        arr = np.ones(4, dtype=np.float32)
+        arr[2] = np.nan
+        write_tensor_file(arr, path)
+        with pytest.raises(NonFiniteError, match=r"cut\.ftns.*byte offset 18"):
+            read_tensor_file(path)
+
 
 def build_manifest(tmp_path, n_way=5, k_shot=1, n_query=3, dims=(4, 4, 8),
                    break_support=False, wrong_d_for=None):
@@ -180,6 +208,39 @@ class TestLoadEpisode:
         a = load_episode(manifest, tmp_path)
         b = load_episode(manifest, tmp_path)
         assert a.content_hash() == b.content_hash()
+
+    @pytest.mark.parametrize("bad_path", ["../x.ftns", "a/../../x.ftns", "ABSOLUTE"])
+    def test_escaping_entry_rejected_before_any_read(self, tmp_path, monkeypatch, bad_path):
+        from fewshift import feature_store
+
+        episode_dir = tmp_path / "ep"
+        episode_dir.mkdir()
+        manifest = build_manifest(episode_dir)
+        outside = tmp_path / "x.ftns"
+        write_tensor_file(np.zeros((4, 4, 8), dtype=np.float32), outside)
+        if bad_path == "ABSOLUTE":
+            bad_path = str(outside)
+        last = manifest.query_target[-1]
+        escaping = replace(
+            manifest,
+            query_target=manifest.query_target[:-1] + (replace(last, path=bad_path),),
+        )
+        opened = []
+        monkeypatch.setattr(feature_store, "read_tensor_file", opened.append)
+        with pytest.raises(ManifestError, match="leaves the episode directory"):
+            load_episode(escaping, episode_dir)
+        assert opened == []
+
+    def test_dotdot_inside_directory_loads(self, tmp_path):
+        manifest = build_manifest(tmp_path)
+        first = manifest.support[0]
+        inside = replace(
+            manifest,
+            support=(replace(first, path=f"sub/../{first.path}"),) + manifest.support[1:],
+        )
+        assert load_episode(inside, tmp_path).content_hash() == (
+            load_episode(manifest, tmp_path).content_hash()
+        )
 
     def test_labels_quarantined(self, tmp_path):
         episode = load_episode(build_manifest(tmp_path), tmp_path)

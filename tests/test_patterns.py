@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewshift.patterns import (
+    PooledBlocks,
     class_scores,
-    classification_loss,
     cross_entropy,
     score_set,
     similarity_matrix,
@@ -15,6 +17,8 @@ from fewshift.patterns import (
 )
 from fewshift.semantic import SemanticFeatureMap
 from fewshift.synthgen import SynthConfig, generate_episode
+
+from oracles import classification_loss, reference_scores
 
 
 def random_map(rng, positions=9, channels=8, owner=""):
@@ -87,14 +91,14 @@ class TestSimilarityPattern:
             for b in range(9):
                 want[i, b] = max(m[i, a, b] for a in range(9))
         assert np.array_equal(pat.vector, want.reshape(-1))
-        assert len(pat.parts) == 2
+        assert pat.vector.shape == (2 * 9,)  # one block per support image
 
     def test_query_side_pooling(self):
         rng = np.random.default_rng(4)
         m = rng.uniform(-1, 1, size=(2, 5, 7))
         pat = similarity_pattern(m, pooling="query")
         assert pat.vector.shape == (10,)
-        assert np.array_equal(pat.parts[0], m[0].max(axis=1))
+        assert np.array_equal(pat.vector[:5], m[0].max(axis=1))
 
     def test_monotone_in_entries(self):
         rng = np.random.default_rng(5)
@@ -176,7 +180,7 @@ class TestScoreSet:
         for q, query in enumerate(queries):
             for c, cls in enumerate(classes):
                 pat = similarity_pattern(similarity_matrix(query, cls), class_index=c)
-                assert np.allclose(table.patterns[q][c].vector, pat.vector, atol=1e-12)
+                assert np.allclose(table.patterns[c][q], pat.vector, atol=1e-12)
                 assert table.scores[q, c] == pytest.approx(pat.score, abs=1e-12)
 
     def test_raw_sum_mode(self):
@@ -185,8 +189,137 @@ class TestScoreSet:
         classes = [[random_map(rng)], [random_map(rng)]]
         normalized = score_set(queries, classes, normalize=True)
         raw = score_set(queries, classes, normalize=False)
-        length = normalized.patterns[0][0].vector.shape[0]
+        length = normalized.patterns[0].shape[1]
         assert raw.scores[0, 0] == pytest.approx(normalized.scores[0, 0] * length, abs=1e-9)
+
+
+def assert_tables_close(got, want):
+    assert got.scores.shape == want.scores.shape
+    assert np.allclose(got.scores, want.scores, rtol=0.0, atol=1e-12)
+    assert len(got.patterns) == len(want.patterns)
+    for g, w in zip(got.patterns, want.patterns):
+        assert g.shape == w.shape
+        assert np.allclose(g, w, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Queries and classes with uneven shot counts; the support grid may
+    differ from the query grid, and one map is shared by two classes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    channels = draw(st.integers(2, 6))
+    q_grid = draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3)]))
+    s_grid = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)]))
+
+    def fresh(grid):
+        return SemanticFeatureMap(rng.uniform(-1, 1, size=(grid[0] * grid[1], channels)), *grid)
+
+    queries = [fresh(q_grid) for _ in range(draw(st.integers(1, 5)))]
+    shots = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
+    classes = [[fresh(s_grid) for _ in range(n)] for n in shots]
+    shared = classes[0][-1]
+    classes[-1].insert(draw(st.integers(0, len(classes[-1]))), shared)
+    pooling = draw(st.sampled_from(["support", "query"]))
+    return queries, classes, pooling, draw(st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=scoring_cases())
+def test_array_path_matches_reference(case):
+    queries, classes, pooling, normalize = case
+    got = score_set(queries, classes, pooling, normalize)
+    assert_tables_close(got, reference_scores(queries, classes, pooling, normalize))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scoring_cases(), data=st.data())
+def test_shared_cache_across_rounds_matches_reference(case, data):
+    # a second round keeps some prototypes, drops others and promotes
+    # queries, as self-training does; the cache serves both rounds
+    queries, classes, pooling, normalize = case
+    blocks = PooledBlocks(queries, pooling)
+    first = score_set(queries, classes, pooling, normalize, blocks)
+    assert_tables_close(first, reference_scores(queries, classes, pooling, normalize))
+    # a class's images share one grid, so queries are promotable only
+    # when their grid is the support grid
+    promotable = queries if queries[0].positions == classes[0][0].positions else []
+    second_round = []
+    for group in classes:
+        kept = data.draw(st.lists(st.sampled_from(group), max_size=2, unique_by=id))
+        promoted = (
+            data.draw(st.lists(st.sampled_from(promotable), max_size=2, unique_by=id))
+            if promotable else []
+        )
+        second_round.append(kept + promoted or [group[0]])
+    second = score_set(queries, second_round, pooling, normalize, blocks)
+    assert_tables_close(second, reference_scores(queries, second_round, pooling, normalize))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scoring_cases(), data=st.data())
+def test_scores_invariant_to_query_order(case, data):
+    queries, classes, pooling, normalize = case
+    order = data.draw(st.permutations(range(len(queries))))
+    base = score_set(queries, classes, pooling, normalize)
+    permuted = score_set([queries[i] for i in order], classes, pooling, normalize)
+    assert np.allclose(permuted.scores, base.scores[order], rtol=0.0, atol=1e-12)
+    for got, want in zip(permuted.patterns, base.patterns):
+        assert np.allclose(got, want[order], rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=scoring_cases(), data=st.data())
+def test_scores_equivariant_to_class_order(case, data):
+    queries, classes, pooling, normalize = case
+    order = data.draw(st.permutations(range(len(classes))))
+    base = score_set(queries, classes, pooling, normalize)
+    permuted = score_set(queries, [classes[c] for c in order], pooling, normalize)
+    assert np.allclose(permuted.scores, base.scores[:, order], rtol=0.0, atol=1e-12)
+    for c, got in zip(order, permuted.patterns):
+        assert np.allclose(got, base.patterns[c], rtol=0.0, atol=1e-12)
+
+
+class TestPooledBlocks:
+    def test_image_pooled_once_across_classes_and_calls(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        queries = [random_map(rng) for _ in range(3)]
+        shared = random_map(rng)
+        classes = [[shared, random_map(rng)], [random_map(rng), shared]]
+        pooled = []
+        real = PooledBlocks._pool
+
+        def recording(self, images):
+            pooled.extend(id(m) for m in images)
+            return real(self, images)
+
+        monkeypatch.setattr(PooledBlocks, "_pool", recording)
+        blocks = PooledBlocks(queries)
+        score_set(queries, classes, blocks=blocks)
+        score_set(queries, [[shared, queries[0]], classes[1]], blocks=blocks)
+        assert sorted(pooled) == sorted({id(m) for g in classes for m in g} | {id(queries[0])})
+
+    def test_rejects_cache_of_other_queries(self):
+        rng = np.random.default_rng(14)
+        queries = [random_map(rng) for _ in range(2)]
+        classes = [[random_map(rng)], [random_map(rng)]]
+        blocks = PooledBlocks(queries)
+        with pytest.raises(ValueError):
+            score_set(queries[:1], classes, blocks=blocks)
+        with pytest.raises(ValueError):
+            score_set(queries, classes, pooling="query", blocks=blocks)
+
+    def test_top2_needs_two_classes(self):
+        rng = np.random.default_rng(15)
+        table = score_set([random_map(rng)], [[random_map(rng)]])
+        with pytest.raises(ValueError):
+            table.top2()
+
+    def test_top2_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(16)
+        query, other = random_map(rng), random_map(rng)
+        table = score_set([query], [[other], [query], [query], [other]])
+        pos, neg = table.top2()
+        assert (pos[0], neg[0]) == (1, 2)
 
 
 class TestClassificationLoss:

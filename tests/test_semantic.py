@@ -295,7 +295,32 @@ class TestSemanticMap:
             semantic_map(np.zeros((2, 2, 4)), cents)
 
 
+    def test_stack_matches_per_image(self):
+        rng = np.random.default_rng(18)
+        stack = rng.normal(size=(5, 4, 6, 8))
+        cents = SemanticCentroids(rng.normal(size=(3, 8)), "merged")
+        grids = semantic_map(stack, cents)
+        assert grids.shape == (5, 4, 6, 3)
+        for img, grid in zip(stack, grids):
+            assert np.allclose(grid, semantic_map(img, cents), rtol=0.0, atol=1e-15)
+
+
 class TestBlockSplit:
+    def test_stack_matches_per_grid(self):
+        grids = np.random.default_rng(19).normal(size=(3, 4, 6, 2))
+        maps = block_split_concat(grids, ["a", "b", "c"], ["source", "source", "target"])
+        assert [(m.owner, m.domain) for m in maps] == [
+            ("a", "source"), ("b", "source"), ("c", "target")
+        ]
+        for grid, fmap in zip(grids, maps):
+            one = block_split_concat(grid)
+            assert (fmap.grid_h, fmap.grid_w) == (one.grid_h, one.grid_w) == (2, 3)
+            assert np.array_equal(fmap.features, one.features)
+
+    def test_stack_needs_one_owner_per_image(self):
+        with pytest.raises(ValueError):
+            block_split_concat(np.zeros((2, 2, 2, 1)), ["only"], ["source"])
+
     def test_minimal_grid_order(self):
         grid = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # 2x2x1
         fmap = block_split_concat(grid)
