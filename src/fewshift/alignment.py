@@ -57,20 +57,15 @@ def fit_semantic_gaussian(
     return GaussianStats(mean, cov, "full", samples.shape[0], ridge)
 
 
-def fit_pattern_gaussian(
-    patterns: np.ndarray,
-    ridge: float = 1e-4,
-    mode: str = "diagonal",
-) -> GaussianStats:
-    """Per-coordinate fit over same-class pattern vectors, one per row."""
+def fit_pattern_gaussian(patterns: np.ndarray, ridge: float = 1e-4) -> GaussianStats:
+    """Per-coordinate (diagonal) fit over same-class pattern vectors, one
+    per row."""
     samples = np.asarray(patterns, dtype=np.float64)
     if samples.ndim != 2:
         raise ValueError("patterns must be a (samples, length) matrix")
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 patterns")
     mean, cov = gaussian_moments(samples, ridge)
-    if mode == "full":
-        return GaussianStats(mean, cov, "full", samples.shape[0], ridge)
     return GaussianStats(mean, np.diag(cov).copy(), "diagonal", samples.shape[0], ridge)
 
 

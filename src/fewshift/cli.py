@@ -227,7 +227,7 @@ def cmd_dump(args) -> int:
     from .patterns import score_set
 
     for prefix, maps in (("qs", qs_maps), ("qt", qt_maps)):
-        table = score_set(maps, support, cfg.pooling, cfg.normalize_scores)
+        table = score_set(maps, support)
         for q in range(len(maps)):
             if args.stage == "scores":
                 write_tensor_file(

@@ -14,6 +14,7 @@ episode's quarantined target labels.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -34,7 +35,7 @@ from .synthgen import SynthConfig, generate_episode
 FEATURE_MODES = ("semantic", "raw_local")
 CSV_COLUMNS = (
     "episode_id", "accuracy", "l_cls", "l_sfa", "l_spa", "l_clm",
-    "total", "k", "rounds", "confident_count", "wall_ms",
+    "total", "k", "rounds", "confident_count", "spa_skipped", "wall_ms",
 )
 
 
@@ -47,15 +48,10 @@ class PipelineConfig:
     tau_rel: float = 0.1
     k_min: int = 2
     k_max: int = 0              # 0 -> min(d // 2, 64) at run time
-    merge: str = "match_average"
     use_catt: bool = True
     attention_weights: str = ""
-    pooling: str = "support"
-    normalize_scores: bool = True
-    confidence_measure: str = "score_ratio"
     confidence_threshold: float = 1.7
     max_rounds: int = 3
-    replace_mode: str = "replace"
     self_training: bool = True
     ridge: float = 1e-4
     feature_mode: str = "semantic"
@@ -72,23 +68,10 @@ class PipelineConfig:
             raise ConfigError("k_min", "must be >= 2")
         if self.k_max and self.k_max < self.k_min:
             raise ConfigError("k_max", "must be 0 or >= k_min")
-        if self.merge not in ("match_average", "concat", "support_only"):
-            raise ConfigError("merge", f"unknown strategy '{self.merge}'")
-        if self.pooling not in patterns.POOLING_SIDES:
-            raise ConfigError("pooling", f"must be one of {patterns.POOLING_SIDES}")
-        if self.confidence_measure not in selftrain.CONFIDENCE_MEASURES:
-            raise ConfigError(
-                "confidence_measure",
-                f"must be one of {selftrain.CONFIDENCE_MEASURES}",
-            )
         if self.confidence_threshold <= 0:
             raise ConfigError("confidence_threshold", "must be positive")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds", "must be >= 1")
-        if self.replace_mode not in selftrain.REPLACE_MODES:
-            raise ConfigError(
-                "replace_mode", f"must be one of {selftrain.REPLACE_MODES}"
-            )
         if self.ridge < 0:
             raise ConfigError("ridge", "must be >= 0")
         if self.feature_mode not in FEATURE_MODES:
@@ -110,9 +93,7 @@ class PipelineConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def confidence_rule(self) -> selftrain.ConfidenceRule:
-        return selftrain.ConfidenceRule(
-            self.confidence_measure, self.confidence_threshold, self.max_rounds
-        )
+        return selftrain.ConfidenceRule(self.confidence_threshold, self.max_rounds)
 
 
 @dataclass
@@ -149,6 +130,7 @@ class EpisodeReport:
             str(self.k),
             str(self.rounds),
             str(self.confident_count),
+            str(self.spa_skipped),
             repr(float(self.wall_ms)),
         ]
 
@@ -210,7 +192,7 @@ def _episode_maps(
         warm = history if cfg.use_catt else None
         split = n_source * h * w
         cents = semantic.cluster_task(
-            all_locals[:split], all_locals[split:], k, warm, params, cfg.merge, task_id
+            all_locals[:split], all_locals[split:], k, warm, params, task_id
         )
         grids = semantic.semantic_map(stack, cents)
         maps = semantic.block_split_concat(grids, owners, domains)
@@ -236,31 +218,27 @@ def forward_episode(
     """
     n = episode.n_way
     support, qs_maps, qt_maps, k, cents = _episode_maps(episode, cfg, history, task_id)
-    pool, norm = cfg.pooling, cfg.normalize_scores
 
-    qs_table = patterns.score_set(qs_maps, support, pool, norm)
+    qs_table = patterns.score_set(qs_maps, support)
     l_cls = patterns.cross_entropy(qs_table.scores, episode.query_source_labels)
 
-    qt_blocks = patterns.PooledBlocks(qt_maps, pool)
-    qt_table = patterns.score_set(qt_maps, support, pool, norm, qt_blocks)
-    protos = selftrain.PrototypeSet.from_support(support)
+    qt_blocks = patterns.PooledBlocks(qt_maps)
+    qt_table = patterns.score_set(qt_maps, support, qt_blocks)
     if cfg.self_training:
         result = selftrain.promote_and_reclassify(
-            qt_maps, protos, cfg.confidence_rule(), pool, norm,
-            cfg.replace_mode, qt_blocks,
+            qt_maps, selftrain.PrototypeSet.from_support(support),
+            cfg.confidence_rule(), qt_blocks,
         )
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
-        final_protos, final_table = result.prototypes, result.table
+        final_table = result.table
     else:
         rounds = 0
         confident = [0] * n
-        final_protos, final_table = protos, qt_table
+        final_table = qt_table
 
-    # the final table already scores the queries against final_protos
-    l_clm = selftrain.class_matching_loss(
-        qt_maps, final_protos, cfg.margin, pool, norm, table=final_table
-    )
+    # the final table scores the target queries against the final prototypes
+    l_clm = selftrain.class_matching_loss(final_table, cfg.margin)
     l_sfa = alignment.sfa_loss(qs_maps, qt_maps, cfg.ridge)
 
     # pattern alignment uses the support-based (round-0) patterns on both
@@ -379,9 +357,25 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's Python sources, computed once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def _fingerprint(cfg: PipelineConfig, descriptor: str, n_tasks: int) -> str:
+    """Names the config, the episode stream and the code version."""
+    from . import __version__  # set by the package after it imports this module
+
     blob = json.dumps(
-        {"config": cfg.to_dict(), "stream": descriptor, "tasks": n_tasks},
+        {
+            "config": cfg.to_dict(), "stream": descriptor, "tasks": n_tasks,
+            "version": __version__, "source": _source_digest(),
+        },
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -21,8 +21,6 @@ import numpy as np
 from .numkit import log_softmax, unit_rows
 from .semantic import SemanticFeatureMap
 
-POOLING_SIDES = ("support", "query")
-
 
 @dataclass
 class SimilarityPattern:
@@ -32,7 +30,6 @@ class SimilarityPattern:
     """
 
     vector: np.ndarray
-    class_index: int | None = None
 
     @property
     def score(self) -> float:
@@ -50,7 +47,6 @@ class ClassScores:
     scores: np.ndarray
     pos: int
     neg: int
-    patterns: list[SimilarityPattern]
 
 
 def similarity_matrix(
@@ -82,24 +78,13 @@ def similarity_matrix(
     return out
 
 
-def similarity_pattern(
-    matrix: np.ndarray,
-    pooling: str = "support",
-    class_index: int | None = None,
-) -> SimilarityPattern:
-    """Pool the 3-D similarity tensor into a pattern vector.
-
-    support pooling keeps, for every support position, the best match
-    over query positions; query pooling is the transpose convention.
-    """
-    if pooling not in POOLING_SIDES:
-        raise ValueError(f"pooling must be one of {POOLING_SIDES}")
+def similarity_pattern(matrix: np.ndarray) -> SimilarityPattern:
+    """Pool the 3-D similarity tensor into a pattern vector: for every
+    support position, the best match over the query positions."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if not np.isfinite(matrix).all():
         raise ValueError("similarity tensor contains non-finite entries")
-    axis = 1 if pooling == "support" else 2
-    pooled = matrix.max(axis=axis)  # (K, S_s) or (K, S_q)
-    return SimilarityPattern(pooled.reshape(-1), class_index)
+    return SimilarityPattern(matrix.max(axis=1).reshape(-1))  # (K * S_s,)
 
 
 class PooledBlocks:
@@ -112,16 +97,13 @@ class PooledBlocks:
     are normalised once, on the first miss.
     """
 
-    def __init__(self, queries: Sequence[SemanticFeatureMap], pooling: str = "support"):
-        if pooling not in POOLING_SIDES:
-            raise ValueError(f"pooling must be one of {POOLING_SIDES}")
+    def __init__(self, queries: Sequence[SemanticFeatureMap]):
         self.queries = list(queries)
-        self.pooling = pooling
         self._q_unit: np.ndarray | None = None
         self._blocks: dict[int, tuple[SemanticFeatureMap, np.ndarray]] = {}
 
-    def serves(self, queries: Sequence[SemanticFeatureMap], pooling: str) -> bool:
-        return pooling == self.pooling and len(queries) == len(self.queries) and all(
+    def serves(self, queries: Sequence[SemanticFeatureMap]) -> bool:
+        return len(queries) == len(self.queries) and all(
             a is b for a, b in zip(queries, self.queries)
         )
 
@@ -142,14 +124,9 @@ class PooledBlocks:
         sims = (self._q_unit @ s_unit.T).reshape(n_q, s_q, len(images), s_s)
         # clip is monotone, so clipping the pooled maxima equals pooling
         # the clipped cosines
-        if self.pooling == "support":
-            pooled = np.clip(sims.max(axis=1), -1.0, 1.0)      # (Q, m, S_s)
-            blocks = [pooled[:, i] for i in range(len(images))]
-        else:
-            pooled = np.clip(sims.max(axis=3), -1.0, 1.0)      # (Q, S_q, m)
-            blocks = [pooled[:, :, i] for i in range(len(images))]
-        for m, block in zip(images, blocks):
-            self._blocks[id(m)] = (m, block)
+        pooled = np.clip(sims.max(axis=1), -1.0, 1.0)  # (Q, m, S_s)
+        for i, m in enumerate(images):
+            self._blocks[id(m)] = (m, pooled[:, i])
 
 
 @dataclass
@@ -169,10 +146,6 @@ class ScoreTable:
         rest[np.arange(len(pos)), pos] = -np.inf
         return pos, rest.argmax(axis=1)
 
-    def raw_sums(self) -> np.ndarray:
-        """(Q, N) unnormalised pattern sums."""
-        return np.column_stack([p.sum(axis=1) for p in self.patterns])
-
     @property
     def predictions(self) -> np.ndarray:
         return self.scores.argmax(axis=1)
@@ -181,40 +154,33 @@ class ScoreTable:
 def score_set(
     queries: Sequence[SemanticFeatureMap],
     classes: Sequence[Sequence[SemanticFeatureMap]],
-    pooling: str = "support",
-    normalize: bool = True,
     blocks: PooledBlocks | None = None,
 ) -> ScoreTable:
     """Score every query against every class.
 
-    normalize=True divides the pattern sum by its length (the mean), so
-    scores are resolution-independent; False keeps the literal raw sum.
-    blocks, when given, must be a cache of these queries under this
-    pooling; images it already holds are not pooled again.
+    A score is the mean of the pattern vector, so scores do not depend on
+    the resolution.  blocks, when given, must be a cache of these
+    queries; images it already holds are not pooled again.
     """
     if blocks is None:
-        blocks = PooledBlocks(queries, pooling)
-    elif not blocks.serves(queries, pooling):
-        raise ValueError("blocks were pooled for other queries or pooling")
+        blocks = PooledBlocks(queries)
+    elif not blocks.serves(queries):
+        raise ValueError("blocks were pooled for other queries")
     patterns = [blocks.class_pattern(group) for group in classes]
-    reduce = np.mean if normalize else np.sum
-    scores = np.column_stack([reduce(p, axis=1) for p in patterns])
+    scores = np.column_stack([p.mean(axis=1) for p in patterns])
     return ScoreTable(scores, patterns)
 
 
 def class_scores(
     query: SemanticFeatureMap,
     classes: Sequence[Sequence[SemanticFeatureMap]],
-    pooling: str = "support",
-    normalize: bool = True,
 ) -> ClassScores:
     """Scores of one query against all classes, with the top-2 ranking."""
     if len(classes) < 2:
         raise ValueError("need at least 2 classes to rank")
-    table = score_set([query], classes, pooling, normalize)
+    table = score_set([query], classes)
     pos, neg = table.top2()
-    patterns = [SimilarityPattern(p[0], c) for c, p in enumerate(table.patterns)]
-    return ClassScores(table.scores[0], int(pos[0]), int(neg[0]), patterns)
+    return ClassScores(table.scores[0], int(pos[0]), int(neg[0]))
 
 
 def cross_entropy(scores: np.ndarray, labels: Sequence[int]) -> float:

@@ -37,7 +37,6 @@ class SemanticCentroids:
     """Cluster centroids a task projects its local features onto."""
 
     centroids: np.ndarray  # (k, d)
-    source: str            # "support" | "query" | "merged"
     task_id: int = 0
 
     def __post_init__(self):
@@ -196,21 +195,18 @@ def cluster_task(
     k: int,
     warm: SemanticCentroids | None = None,
     params: AttentionParams | None = None,
-    merge: str = "match_average",
     task_id: int = 0,
 ) -> SemanticCentroids:
     """Cluster the two local-feature pools separately and merge.
 
-    merge selects how the two k-centroid sets become the task centroids:
-    match_average (default) pairs them one-to-one by cosine and averages,
-    concat stacks both (2k rows), support_only discards the query side.
+    Each side runs K-means from a farthest-first initialization (fused
+    with the warm centroids, when given); the two k-centroid sets are
+    paired one-to-one by cosine and averaged into the task centroids.
     """
     support_locals = np.asarray(support_locals, dtype=np.float64)
     query_locals = np.asarray(query_locals, dtype=np.float64)
     if support_locals.shape[0] < k or query_locals.shape[0] < k:
         raise ValueError(f"both local pools need at least k={k} rows")
-    if merge not in ("match_average", "concat", "support_only"):
-        raise ValueError(f"unknown merge strategy '{merge}'")
     if params is None:
         params = AttentionParams.identity(support_locals.shape[1])
 
@@ -220,16 +216,8 @@ def cluster_task(
             init = fuse_centroids(init, warm.centroids, params)
         return kmeans(points, k, init).centroids
 
-    c_support = side(support_locals)
-    if merge == "support_only":
-        merged = c_support
-    else:
-        c_query = side(query_locals)
-        if merge == "concat":
-            merged = np.vstack([c_support, c_query])
-        else:
-            merged = _merge_match_average(c_support, c_query)
-    return SemanticCentroids(merged, source="merged", task_id=task_id)
+    merged = _merge_match_average(side(support_locals), side(query_locals))
+    return SemanticCentroids(merged, task_id=task_id)
 
 
 def semantic_map(images: np.ndarray, centroids: SemanticCentroids) -> np.ndarray:

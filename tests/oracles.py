@@ -10,7 +10,7 @@ farthest-first step.
 classification_loss, select_confident and target_owned_classes are the
 convenience forms of scoring and self-training that only tests use.
 reference_scores builds a score table from the reference path
-(similarity_matrix, then similarity_pattern, then mean or sum).
+(similarity_matrix, then similarity_pattern, then the mean).
 """
 
 from __future__ import annotations
@@ -125,39 +125,38 @@ def farthest_first_reference(points, k, rng) -> list[int]:
 
 
 
-def reference_scores(queries, classes, pooling="support", normalize=True) -> ScoreTable:
+def reference_scores(queries, classes) -> ScoreTable:
     """score_set computed one (query, class) pair at a time."""
     rows = [
-        [similarity_pattern(similarity_matrix(q, group), pooling).vector for group in classes]
+        [similarity_pattern(similarity_matrix(q, group)).vector for group in classes]
         for q in queries
     ]
     patterns = [np.vstack([row[c] for row in rows]) for c in range(len(classes))]
-    scores = np.array(
-        [[v.mean() if normalize else v.sum() for v in row] for row in rows]
-    )
+    scores = np.array([[v.mean() for v in row] for row in rows])
     return ScoreTable(scores, patterns)
 
 
-def classification_loss(queries, labels, classes, pooling="support", normalize=True) -> float:
+def classification_loss(queries, labels, classes) -> float:
     """Mean cross-entropy of the softmax over class scores at the labels."""
     n_classes = len(classes)
     for lab in labels:
         if not 0 <= lab < n_classes:
             raise ValueError(f"label {lab} outside [0, {n_classes})")
-    table = score_set(queries, classes, pooling, normalize)
+    table = score_set(queries, classes)
     return cross_entropy(table.scores, labels)
 
 
-def select_confident(queries, prototypes, rule, pooling="support", normalize=True):
+def select_confident(queries, prototypes, rule):
     """Query ids that pass the confidence rule, listed under their top class."""
-    table = score_set(queries, prototypes.feature_maps(), pooling, normalize)
+    table = score_set(queries, prototypes.per_class)
     return _confident_from_table(table, rule, len(prototypes.per_class))
 
 
-def target_owned_classes(prototypes) -> set[int]:
-    """Classes holding at least one promoted target prototype."""
+def target_owned_classes(prototypes, queries) -> set[int]:
+    """Classes holding at least one promoted target prototype, that is,
+    one of the query maps themselves."""
     return {
         c
         for c, group in enumerate(prototypes.per_class)
-        if any(p.origin == "target" for p in group)
+        if any(p is q for p in group for q in queries)
     }

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewshift.alignment import (
     GaussianStats,
@@ -155,6 +157,52 @@ class TestKLGaussian:
                             "full", 5, 0.0)
         with pytest.raises(NotPositiveDefiniteError):
             kl_gaussian(bad, bad)
+
+
+def random_covariance(rng, d, floor):
+    """F F^T + floor I with F of random rank: singular up to the floor."""
+    f = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+    return f @ f.T + floor * np.eye(d)
+
+
+# The floor starts at the pipeline's default ridge, 1e-4.  Below about
+# 1e-6 the float64 trace of S_A^-1 S_A drifts by more than 1e-10, so
+# kl_gaussian(a, a) can read slightly negative there.
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    floor=st.sampled_from([1e-4, 1e-3, 1e-2, 1.0]),
+    same=st.booleans(),
+)
+def test_kl_nonnegative_full(seed, d, floor, same):
+    rng = np.random.default_rng(seed)
+    cov_a = random_covariance(rng, d, floor)
+    cov_b = cov_a.copy() if same else random_covariance(rng, d, floor)
+    mean_a = rng.normal(size=d)
+    mean_b = mean_a.copy() if same else rng.normal(size=d)
+    a = GaussianStats(mean_a, cov_a, "full", 2, 0.0)
+    b = GaussianStats(mean_b, cov_b, "full", 2, 0.0)
+    assert kl_gaussian(a, b) >= -1e-10
+    assert kl_gaussian(b, a) >= -1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 40),
+    same=st.booleans(),
+)
+def test_kl_nonnegative_diagonal(seed, d, same):
+    rng = np.random.default_rng(seed)
+    var_a = 10.0 ** rng.uniform(-6, 2, size=d)
+    var_b = var_a.copy() if same else 10.0 ** rng.uniform(-6, 2, size=d)
+    mean_a = rng.normal(size=d)
+    mean_b = mean_a.copy() if same else rng.normal(size=d)
+    a = GaussianStats(mean_a, var_a, "diagonal", 2, 0.0)
+    b = GaussianStats(mean_b, var_b, "diagonal", 2, 0.0)
+    assert kl_gaussian(a, b) >= -1e-10
+    assert kl_gaussian(b, a) >= -1e-10
 
 
 class TestSfaLoss:

@@ -109,6 +109,16 @@ class TestEval:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("retired", [{"pooling": "query"}, {"replace_mode": "union"}])
+    def test_retired_pipeline_field_exits_2(self, tmp_path, synth_config, capsys, retired):
+        pipeline = tmp_path / "pipe.json"
+        pipeline.write_text(json.dumps(retired))
+        code = main(["eval", "--synth", str(synth_config), "--tasks", "1",
+                     "--pipeline", str(pipeline), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"'{next(iter(retired))}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_seed_override_reproducible(self, tmp_path, synth_config):
         outs = []
         for name in ("s1.csv", "s2.csv"):

@@ -47,9 +47,12 @@ class TestPipelineConfig:
         assert err.value.field == "feature_mode"
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError) as err:
-            PipelineConfig.from_dict({"nonsense": 1})
-        assert err.value.field == "nonsense"
+        # the retired knobs are unknown keys like any other
+        for field in ("nonsense", "merge", "pooling", "normalize_scores",
+                      "confidence_measure", "replace_mode"):
+            with pytest.raises(ConfigError) as err:
+                PipelineConfig.from_dict({field: 1})
+            assert err.value.field == field
 
     def test_file_round_trip(self, tmp_path):
         import json
@@ -130,6 +133,9 @@ class TestRunEpisode:
         row = report.csv_row()
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "ep7"
+        # wall_ms stays last, so masking the last column drops only timing
+        assert CSV_COLUMNS[-2:] == ("spa_skipped", "wall_ms")
+        assert row[-2] == str(report.spa_skipped)
 
 
 class TestEvaluate:
@@ -152,6 +158,18 @@ class TestEvaluate:
         a = evaluate(stream, 1, PipelineConfig())
         b = evaluate(stream, 1, replace(PipelineConfig(), lambda_sfa=0.2))
         assert a.fingerprint != b.fingerprint
+
+    def test_fingerprint_names_code_version(self, monkeypatch):
+        from fewshift import engine
+
+        cfg = replace(PipelineConfig(), use_catt=False)
+        a = evaluate(SyntheticTaskStream(SMALL), 1, cfg)
+        b = evaluate(SyntheticTaskStream(SMALL), 1, cfg)
+        assert a.fingerprint == b.fingerprint  # one tree, one fingerprint
+        assert len(engine._source_digest()) == 64
+        monkeypatch.setattr(engine, "_source_digest", lambda: "0" * 64)
+        patched = evaluate(SyntheticTaskStream(SMALL), 1, cfg)
+        assert patched.fingerprint != a.fingerprint
 
     def test_episode_failure_logged_and_run_continues(self):
         class Flaky(SyntheticTaskStream):

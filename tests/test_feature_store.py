@@ -5,12 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fewshift.errors import (
     BadMagicError,
     ManifestError,
     NonFiniteError,
     ShapeMismatchError,
+    TensorFormatError,
     TruncatedError,
     UnsupportedVersionError,
 )
@@ -125,6 +129,37 @@ class TestTensorFormat:
         write_tensor_file(arr, path)
         with pytest.raises(NonFiniteError, match=r"cut\.ftns.*byte offset 18"):
             read_tensor_file(path)
+
+
+finite_tensors = hnp.arrays(
+    np.float32,
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4),
+    elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(arr=finite_tensors)
+def test_tensor_round_trip_property(arr):
+    sink = io.BytesIO()
+    assert write_tensor(arr, sink) == 6 + 4 * arr.ndim + 4 * arr.size
+    back = read_tensor(io.BytesIO(sink.getvalue()))
+    assert back.dtype == np.float32
+    assert back.shape == arr.shape
+    assert back.tobytes() == arr.astype("<f4").tobytes()  # -0.0 and subnormals too
+
+
+@settings(max_examples=25, deadline=None)
+@given(arr=finite_tensors)
+def test_every_proper_prefix_rejected(arr):
+    sink = io.BytesIO()
+    write_tensor(arr, sink)
+    blob = sink.getvalue()
+    header = 6 + 4 * arr.ndim
+    for n in range(len(blob)):
+        expected = TruncatedError if n >= header else TensorFormatError
+        with pytest.raises(expected):
+            read_tensor(io.BytesIO(blob[:n]))
 
 
 def build_manifest(tmp_path, n_way=5, k_shot=1, n_query=3, dims=(4, 4, 8),

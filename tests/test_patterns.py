@@ -93,13 +93,6 @@ class TestSimilarityPattern:
         assert np.array_equal(pat.vector, want.reshape(-1))
         assert pat.vector.shape == (2 * 9,)  # one block per support image
 
-    def test_query_side_pooling(self):
-        rng = np.random.default_rng(4)
-        m = rng.uniform(-1, 1, size=(2, 5, 7))
-        pat = similarity_pattern(m, pooling="query")
-        assert pat.vector.shape == (10,)
-        assert np.array_equal(pat.vector[:5], m[0].max(axis=1))
-
     def test_monotone_in_entries(self):
         rng = np.random.default_rng(5)
         m = rng.uniform(-1, 1, size=(1, 4, 4))
@@ -141,11 +134,6 @@ class TestClassScores:
         with pytest.raises(ValueError):
             class_scores(one_hot_map(0, 2), [[one_hot_map(0, 2)]])
 
-    def test_patterns_carry_class_index(self):
-        query = one_hot_map(0, 2)
-        result = class_scores(query, [[one_hot_map(0, 2)], [one_hot_map(1, 2)]])
-        assert [p.class_index for p in result.patterns] == [0, 1]
-
     def test_zero_shift_synthetic_all_correct(self):
         cfg = SynthConfig(seed=41, shift_strength=0.0, pixel_noise=0.0,
                           distractor_rate=0.0, part_noise=0.0, n_query=3,
@@ -179,18 +167,9 @@ class TestScoreSet:
         table = score_set(queries, classes)
         for q, query in enumerate(queries):
             for c, cls in enumerate(classes):
-                pat = similarity_pattern(similarity_matrix(query, cls), class_index=c)
+                pat = similarity_pattern(similarity_matrix(query, cls))
                 assert np.allclose(table.patterns[c][q], pat.vector, atol=1e-12)
                 assert table.scores[q, c] == pytest.approx(pat.score, abs=1e-12)
-
-    def test_raw_sum_mode(self):
-        rng = np.random.default_rng(8)
-        queries = [random_map(rng)]
-        classes = [[random_map(rng)], [random_map(rng)]]
-        normalized = score_set(queries, classes, normalize=True)
-        raw = score_set(queries, classes, normalize=False)
-        length = normalized.patterns[0].shape[1]
-        assert raw.scores[0, 0] == pytest.approx(normalized.scores[0, 0] * length, abs=1e-9)
 
 
 def assert_tables_close(got, want):
@@ -219,16 +198,14 @@ def scoring_cases(draw):
     classes = [[fresh(s_grid) for _ in range(n)] for n in shots]
     shared = classes[0][-1]
     classes[-1].insert(draw(st.integers(0, len(classes[-1]))), shared)
-    pooling = draw(st.sampled_from(["support", "query"]))
-    return queries, classes, pooling, draw(st.booleans())
+    return queries, classes
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=scoring_cases())
 def test_array_path_matches_reference(case):
-    queries, classes, pooling, normalize = case
-    got = score_set(queries, classes, pooling, normalize)
-    assert_tables_close(got, reference_scores(queries, classes, pooling, normalize))
+    queries, classes = case
+    assert_tables_close(score_set(queries, classes), reference_scores(queries, classes))
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,10 +213,10 @@ def test_array_path_matches_reference(case):
 def test_shared_cache_across_rounds_matches_reference(case, data):
     # a second round keeps some prototypes, drops others and promotes
     # queries, as self-training does; the cache serves both rounds
-    queries, classes, pooling, normalize = case
-    blocks = PooledBlocks(queries, pooling)
-    first = score_set(queries, classes, pooling, normalize, blocks)
-    assert_tables_close(first, reference_scores(queries, classes, pooling, normalize))
+    queries, classes = case
+    blocks = PooledBlocks(queries)
+    first = score_set(queries, classes, blocks)
+    assert_tables_close(first, reference_scores(queries, classes))
     # a class's images share one grid, so queries are promotable only
     # when their grid is the support grid
     promotable = queries if queries[0].positions == classes[0][0].positions else []
@@ -251,17 +228,17 @@ def test_shared_cache_across_rounds_matches_reference(case, data):
             if promotable else []
         )
         second_round.append(kept + promoted or [group[0]])
-    second = score_set(queries, second_round, pooling, normalize, blocks)
-    assert_tables_close(second, reference_scores(queries, second_round, pooling, normalize))
+    second = score_set(queries, second_round, blocks)
+    assert_tables_close(second, reference_scores(queries, second_round))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=scoring_cases(), data=st.data())
 def test_scores_invariant_to_query_order(case, data):
-    queries, classes, pooling, normalize = case
+    queries, classes = case
     order = data.draw(st.permutations(range(len(queries))))
-    base = score_set(queries, classes, pooling, normalize)
-    permuted = score_set([queries[i] for i in order], classes, pooling, normalize)
+    base = score_set(queries, classes)
+    permuted = score_set([queries[i] for i in order], classes)
     assert np.allclose(permuted.scores, base.scores[order], rtol=0.0, atol=1e-12)
     for got, want in zip(permuted.patterns, base.patterns):
         assert np.allclose(got, want[order], rtol=0.0, atol=1e-12)
@@ -270,10 +247,10 @@ def test_scores_invariant_to_query_order(case, data):
 @settings(max_examples=40, deadline=None)
 @given(case=scoring_cases(), data=st.data())
 def test_scores_equivariant_to_class_order(case, data):
-    queries, classes, pooling, normalize = case
+    queries, classes = case
     order = data.draw(st.permutations(range(len(classes))))
-    base = score_set(queries, classes, pooling, normalize)
-    permuted = score_set(queries, [classes[c] for c in order], pooling, normalize)
+    base = score_set(queries, classes)
+    permuted = score_set(queries, [classes[c] for c in order])
     assert np.allclose(permuted.scores, base.scores[:, order], rtol=0.0, atol=1e-12)
     for c, got in zip(order, permuted.patterns):
         assert np.allclose(got, base.patterns[c], rtol=0.0, atol=1e-12)
@@ -306,7 +283,7 @@ class TestPooledBlocks:
         with pytest.raises(ValueError):
             score_set(queries[:1], classes, blocks=blocks)
         with pytest.raises(ValueError):
-            score_set(queries, classes, pooling="query", blocks=blocks)
+            score_set(queries[::-1], classes, blocks=blocks)
 
     def test_top2_needs_two_classes(self):
         rng = np.random.default_rng(15)

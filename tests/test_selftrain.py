@@ -31,26 +31,14 @@ def one_hot_map(channel, channels, positions=4, jiggle=0.0, rng=None):
 class TestConfidenceRule:
     def test_equal_scores_not_confident(self):
         rule = ConfidenceRule()
-        assert not rule.passes(0.4, 0.4, raw_pos=10.0)
+        assert not rule.passes(0.4, 0.4)
 
     def test_log2_margin_is_confident(self):
         rule = ConfidenceRule()  # ratio threshold 1.7
-        assert rule.passes(0.5 + math.log(2.0), 0.5, raw_pos=0.0)
+        assert rule.passes(0.5 + math.log(2.0), 0.5)
         assert math.exp(math.log(2.0)) >= 1.7
 
-    def test_margin_measure(self):
-        rule = ConfidenceRule(measure="score_margin", threshold=0.25)
-        assert rule.passes(0.6, 0.3, raw_pos=0.0)
-        assert not rule.passes(0.5, 0.3, raw_pos=0.0)
-
-    def test_raw_sum_measure(self):
-        rule = ConfidenceRule(measure="raw_sum", threshold=1.7)
-        assert rule.passes(0.0, 0.0, raw_pos=1.8)
-        assert not rule.passes(1.0, 0.0, raw_pos=1.6)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ConfidenceRule(measure="bogus")
         with pytest.raises(ValueError):
             ConfidenceRule(threshold=0.0)
         with pytest.raises(ValueError):
@@ -84,13 +72,14 @@ class TestPromoteAndReclassify:
         protos = PrototypeSet.from_support(split_classes())
         rng = np.random.default_rng(0)
         queries = [one_hot_map(c, 6, jiggle=0.4, rng=rng) for c in (0, 1, 2)]
-        strict = ConfidenceRule(measure="score_margin", threshold=10.0)
+        # scores lie in [-1, 1], so the ratio never exceeds e^2 < 10
+        strict = ConfidenceRule(threshold=10.0)
         result = promote_and_reclassify(queries, protos, strict)
-        base = score_set(queries, protos.feature_maps())
+        base = score_set(queries, protos.per_class)
         assert np.array_equal(result.predictions, base.predictions)
         assert result.rounds_used == 0
         assert result.confident == [[], [], []]
-        assert target_owned_classes(result.prototypes) == set()
+        assert target_owned_classes(result.prototypes, queries) == set()
 
     def test_early_stop_matches_single_round(self):
         rng = np.random.default_rng(1)
@@ -106,20 +95,13 @@ class TestPromoteAndReclassify:
         protos = PrototypeSet.from_support(split_classes())
         queries = [one_hot_map(0, 6, jiggle=0.01, rng=rng)]
         result = promote_and_reclassify(queries, protos, ConfidenceRule())
-        group = result.prototypes.per_class[0]
-        assert all(p.origin == "target" for p in group)
-        assert group[0].promoted_round == 1
-        assert all(p.origin == "support" for p in result.prototypes.per_class[1])
-
-    def test_union_mode_keeps_support(self):
-        rng = np.random.default_rng(3)
-        protos = PrototypeSet.from_support(split_classes())
-        queries = [one_hot_map(0, 6, jiggle=0.01, rng=rng)]
-        result = promote_and_reclassify(
-            queries, protos, ConfidenceRule(), replace_mode="union"
-        )
-        origins = sorted(p.origin for p in result.prototypes.per_class[0])
-        assert origins == ["support", "target"]
+        assert result.prototypes.per_class[0] == [queries[0]]
+        for before, after in zip(protos.per_class[1:], result.prototypes.per_class[1:]):
+            assert len(after) == len(before)
+            assert all(a is b for a, b in zip(after, before))
+        # the input set is left as it was
+        assert protos.per_class[0][0] is not queries[0]
+        assert target_owned_classes(result.prototypes, queries) == {0}
 
     def test_target_ownership_monotone_across_round_budgets(self):
         cfg = SynthConfig(seed=17, shift_strength=0.4, pixel_noise=0.15,
@@ -132,7 +114,7 @@ class TestPromoteAndReclassify:
         owned = []
         for rounds in (1, 2, 3):
             res = promote_and_reclassify(qtm, protos, ConfidenceRule(max_rounds=rounds))
-            owned.append(target_owned_classes(res.prototypes))
+            owned.append(target_owned_classes(res.prototypes, qtm))
         assert owned[0] <= owned[1] <= owned[2]
 
     def test_deterministic(self):
@@ -187,16 +169,8 @@ class TestClassMatchingLoss:
         protos = PrototypeSet.from_support(split_classes())
         for _ in range(20):
             queries = [one_hot_map(int(rng.integers(3)), 6, jiggle=0.3, rng=rng)]
-            term = class_matching_loss(queries, protos, margin)
+            term = class_matching_loss(score_set(queries, protos.per_class), margin)
             assert max(0.0, margin - 1.0) <= term <= margin
-
-    def test_sum_vs_mean(self):
-        rng = np.random.default_rng(5)
-        protos = PrototypeSet.from_support(split_classes())
-        queries = [one_hot_map(c, 6, jiggle=0.1, rng=rng) for c in (0, 1, 2)]
-        total = class_matching_loss(queries, protos, 1.5)
-        mean = class_matching_loss(queries, protos, 1.5, reduce="mean")
-        assert total == pytest.approx(3.0 * mean, abs=1e-12)
 
     @pytest.mark.parametrize("self_training", [True, False])
     def test_precomputed_table_matches_recomputed(self, self_training):
@@ -208,15 +182,15 @@ class TestClassMatchingLoss:
             assert result.rounds_used >= 1
             protos, table = result.prototypes, result.table
         else:
-            table = score_set(queries, protos.feature_maps())
-        for reduce in ("sum", "mean"):
-            reused = class_matching_loss(queries, protos, 1.5, reduce=reduce, table=table)
-            assert reused == class_matching_loss(queries, protos, 1.5, reduce=reduce)
+            table = score_set(queries, protos.per_class)
+        recomputed = score_set(queries, protos.per_class)
+        assert class_matching_loss(table, 1.5) == class_matching_loss(recomputed, 1.5)
 
     def test_negative_margin_rejected(self):
         protos = PrototypeSet.from_support(split_classes())
+        table = score_set([one_hot_map(0, 6)], protos.per_class)
         with pytest.raises(ValueError):
-            class_matching_loss([one_hot_map(0, 6)], protos, -0.5)
+            class_matching_loss(table, -0.5)
 
 
 class TestPrototypeSet:

@@ -188,28 +188,25 @@ class TestClusterTask:
         for i, j in zip(rows, cols):
             assert np.allclose(cents.centroids[i], blob_means[j], atol=1e-6)
 
-    def test_support_only_matches_plain_kmeans(self):
+    def test_each_side_is_plain_kmeans(self):
+        # without a warm start each side is farthest-first from the fixed
+        # seed plus Lloyd, and the task centroids are their matched average
+        from fewshift.semantic import _INIT_SEED, _merge_match_average
+
         rng = np.random.default_rng(10)
         support = rng.normal(size=(60, 5))
         query = rng.normal(size=(40, 5))
-        cents = cluster_task(support, query, 3, merge="support_only")
-        from fewshift.semantic import _INIT_SEED
-
-        init = farthest_first_init(support, 3, SplitMix64(_INIT_SEED))
-        expected = kmeans(support, 3, init).centroids
-        assert np.array_equal(cents.centroids, expected)
-
-    def test_concat_doubles_rows(self):
-        rng = np.random.default_rng(11)
-        cents = cluster_task(rng.normal(size=(30, 4)), rng.normal(size=(30, 4)),
-                             2, merge="concat")
-        assert cents.k == 4
+        cents = cluster_task(support, query, 3)
+        sides = [
+            kmeans(points, 3, farthest_first_init(points, 3, SplitMix64(_INIT_SEED))).centroids
+            for points in (support, query)
+        ]
+        assert np.array_equal(cents.centroids, _merge_match_average(*sides))
 
     def test_match_average_keeps_k(self):
         rng = np.random.default_rng(12)
         cents = cluster_task(rng.normal(size=(30, 4)), rng.normal(size=(30, 4)), 3)
         assert cents.k == 3
-        assert cents.source == "merged"
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -247,21 +244,17 @@ class TestClusterTask:
         with pytest.raises(ValueError):
             cluster_task(np.zeros((2, 3)), np.zeros((10, 3)), 3)
 
-    def test_unknown_merge(self):
-        with pytest.raises(ValueError):
-            cluster_task(np.zeros((5, 3)), np.zeros((5, 3)), 2, merge="bogus")
-
 
 class TestSemanticMap:
     def test_exact_centroid_match_scores_one(self):
-        cents = SemanticCentroids(np.array([[1.0, 0.0], [0.0, 1.0]]), "merged")
+        cents = SemanticCentroids(np.array([[1.0, 0.0], [0.0, 1.0]]))
         img = np.zeros((2, 2, 2))
         img[0, 0] = [2.0, 0.0]  # parallel to centroid 0
         grid = semantic_map(img, cents)
         assert grid[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_local_all_zero(self):
-        cents = SemanticCentroids(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "merged")
+        cents = SemanticCentroids(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         img = np.zeros((1, 1, 3))
         img[0, 0] = [0.0, 0.0, 5.0]
         assert np.array_equal(semantic_map(img, cents)[0, 0], [0.0, 0.0])
@@ -269,7 +262,7 @@ class TestSemanticMap:
     def test_against_naive_loop(self):
         rng = np.random.default_rng(14)
         img = rng.normal(size=(6, 6, 32))
-        cents = SemanticCentroids(rng.normal(size=(5, 32)), "merged")
+        cents = SemanticCentroids(rng.normal(size=(5, 32)))
         grid = semantic_map(img, cents)
         # matmul reassociation keeps entries within an ulp of the scalar path
         for r in range(6):
@@ -283,14 +276,14 @@ class TestSemanticMap:
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
         img = rng.normal(size=(4, 4, 8))
-        cents = SemanticCentroids(rng.normal(size=(3, 8)), "merged")
-        scaled = SemanticCentroids(cents.centroids * 7.5, "merged")
+        cents = SemanticCentroids(rng.normal(size=(3, 8)))
+        scaled = SemanticCentroids(cents.centroids * 7.5)
         a = semantic_map(img, cents)
         b = semantic_map(img * 0.25, scaled)
         assert np.allclose(a, b, atol=1e-9)
 
     def test_dim_mismatch(self):
-        cents = SemanticCentroids(np.ones((2, 5)), "merged")
+        cents = SemanticCentroids(np.ones((2, 5)))
         with pytest.raises(ValueError):
             semantic_map(np.zeros((2, 2, 4)), cents)
 
@@ -298,7 +291,7 @@ class TestSemanticMap:
     def test_stack_matches_per_image(self):
         rng = np.random.default_rng(18)
         stack = rng.normal(size=(5, 4, 6, 8))
-        cents = SemanticCentroids(rng.normal(size=(3, 8)), "merged")
+        cents = SemanticCentroids(rng.normal(size=(3, 8)))
         grids = semantic_map(stack, cents)
         assert grids.shape == (5, 4, 6, 3)
         for img, grid in zip(stack, grids):
@@ -360,14 +353,50 @@ class TestBlockSplit:
         assert np.array_equal(fmap.features, img.reshape(35, 6))
 
 
+def unfold(features, h2, w2):
+    """Inverse of the quadrant fold for one map, quadrant by quadrant."""
+    k = features.shape[1] // 4
+    folded = features.reshape(h2, w2, 4 * k)
+    grid = np.empty((2 * h2, 2 * w2, k))
+    grid[:h2, :w2] = folded[:, :, 0 * k:1 * k]
+    grid[:h2, w2:] = folded[:, :, 1 * k:2 * k]
+    grid[h2:, :w2] = folded[:, :, 2 * k:3 * k]
+    grid[h2:, w2:] = folded[:, :, 3 * k:4 * k]
+    return grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 3),  # 0: a single grid
+    h2=st.integers(1, 4),
+    w2=st.integers(1, 4),
+    k=st.integers(1, 5),
+)
+def test_fold_is_a_bijection(seed, n, h2, w2, k):
+    rng = np.random.default_rng(seed)
+    grids = rng.normal(size=(max(n, 1), 2 * h2, 2 * w2, k))
+    if n == 0:
+        maps = [block_split_concat(grids[0])]
+    else:
+        maps = block_split_concat(grids, [""] * n, [""] * n)
+    assert len(maps) == len(grids)
+    for grid, fmap in zip(grids, maps):
+        assert (fmap.grid_h, fmap.grid_w, fmap.channels) == (h2, w2, 4 * k)
+        assert np.array_equal(unfold(fmap.features, h2, w2), grid)
+    # unfold is also a right inverse, so the fold is one-to-one and onto
+    folded = rng.normal(size=(h2 * w2, 4 * k))
+    assert np.array_equal(block_split_concat(unfold(folded, h2, w2)).features, folded)
+
+
 class TestCentroidValidation:
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            SemanticCentroids(np.array([[1.0, 0.0], [0.0, 0.0]]), "merged")
+            SemanticCentroids(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_single_row_rejected(self):
         with pytest.raises(ValueError):
-            SemanticCentroids(np.ones((1, 4)), "support")
+            SemanticCentroids(np.ones((1, 4)))
 
 
 class TestAttentionParams:
