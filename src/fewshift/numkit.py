@@ -22,6 +22,10 @@ class KMeansResult:
     assignments: np.ndarray    # (n,) int
     inertia: float
     iterations: int
+    distance_rows: int         # point rows whose distances to all k centroids were computed
+
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def _sq_distances(
@@ -40,6 +44,20 @@ def _sq_distances(
     return np.maximum(d2, 0.0, out=d2)
 
 
+def _member_sums(points: np.ndarray, into: np.ndarray, k: int, out_of=None) -> np.ndarray:
+    """(k, d) sums of the points by cluster, as one one-hot product.
+
+    With out_of, each point is also subtracted from its cluster there:
+    the change of the cluster sums when the points move out_of -> into.
+    """
+    step = np.zeros((points.shape[0], k))
+    rows = np.arange(points.shape[0])
+    if out_of is not None:
+        step[rows, out_of] = -1.0
+    step[rows, into] = 1.0
+    return step.T @ points
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -53,25 +71,49 @@ def kmeans(
     Runs until the largest centroid movement drops below tol or max_iter
     is reached.  An empty cluster is reseeded to the point currently
     farthest from its assigned centroid, keeping k fixed.
+
+    Points whose cluster provably cannot change skip the assignment step
+    (Hamerly, SDM 2010).  Each point keeps an upper bound u on the exact
+    distance to its own centroid and a lower bound l on the exact
+    distance to every other one; a centroid update raises u by that
+    centroid's shift and lowers l by the largest shift.  Since another
+    centroid lies at least 2s away, with s half the distance from the own
+    centroid to its nearest other one, max(l, 2s - u) is a lower bound
+    too (u < 2s - u is Hamerly's u < s).  Every bound is rounded outward,
+    and a point is skipped only when u^2 stays below that lower bound
+    squared by twice the rounding error of the expanded distance form, so
+    the argmin a full distance row would give is provably its current
+    cluster: assignments and iteration counts are those of plain Lloyd.
+
+    Cluster sums change only by the points that moved.  Iteration 1
+    computes every distance, and so does an iteration whose bounded
+    assignment would empty a cluster, since the reseed needs every
+    point's distance.  distance_rows counts the point rows sent through
+    the distance product, the final assignment included.
     """
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    n, d = points.shape
     if k <= 0:
         raise ValueError("k must be positive")
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
     centroids = np.array(init, dtype=np.float64, copy=True)
-    if centroids.shape != (k, points.shape[1]):
+    if centroids.shape != (k, d):
         raise ValueError("init must be k x d")
 
     sq_norms = (points * points).sum(axis=1)
     rows = np.arange(n)
-    # one-hot membership matrix, cleared and refilled in place each iteration
-    onehot = np.zeros((n, k))
-    assignments = np.zeros(n, dtype=np.intp)
+    # a computed squared distance lies within (2d + 4) eps (||x||^2 + ||c||^2)
+    # of the exact one; twice that also covers the rounding of the test
+    slack = 4.0 * (d + 2) * _EPS
+    # relative widening that keeps a rounded bound on its side of the exact one
+    grow, shrink = 1.0 + (d + 8) * _EPS, 1.0 - (d + 8) * _EPS
+    upper = np.empty(n)
+    lower = np.empty(n)
+    counts = sums = None
     prev_inertia = math.inf
-    inertia = math.inf
     iterations = 0
+    distance_rows = 0
 
     def reseed_empty(assignments, point_d2):
         # move the farthest point into each empty cluster, never draining
@@ -89,31 +131,75 @@ def kmeans(
             point_d2[far] = 0.0
         return counts
 
-    for iterations in range(1, max_iter + 1):
-        d2 = _sq_distances(points, sq_norms, centroids)
-        onehot[rows, assignments] = 0.0
-        assignments = d2.argmin(axis=1)
-        point_d2 = d2[rows, assignments]
-        counts = reseed_empty(assignments, point_d2)
-        inertia = float(point_d2.sum())
-        if verify_monotone and inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
-            raise AssertionError(
-                f"inertia increased: {prev_inertia} -> {inertia} at iteration {iterations}"
-            )
-        prev_inertia = inertia
+    def set_bounds(at, d2, own, margin):
+        # bounds from computed rows d2 of the points at, assigned to own;
+        # d2 is overwritten
+        picked = np.arange(len(at)), own
+        upper[at] = np.sqrt(d2[picked] + margin) * grow
+        d2[picked] = math.inf
+        lower[at] = np.sqrt(np.maximum(d2.min(axis=1) - margin, 0.0)) * shrink
 
-        onehot[rows, assignments] = 1.0
-        new_centroids = onehot.T @ points / np.maximum(counts, 1)[:, None]
+    for iterations in range(1, max_iter + 1):
+        csq = (centroids * centroids).sum(axis=1)
+        margin = slack * (sq_norms + csq.max())
+        full = counts is None
+        if not full:
+            # half the distance from each centroid to its nearest other one,
+            # less twice the rounding error of the squared gap
+            gap2 = _sq_distances(centroids, csq, centroids)
+            np.fill_diagonal(gap2, math.inf)
+            half = 0.5 * np.sqrt(np.maximum(gap2.min(axis=1) - 2.0 * slack * csq.max(), 0.0))
+            bound = np.maximum(lower, (2.0 * half[assignments] - upper) * shrink)
+            np.maximum(bound, 0.0, out=bound)
+            active = np.flatnonzero(upper * upper + 2.0 * margin >= bound * bound)
+            d2 = _sq_distances(points[active], sq_norms[active], centroids)
+            distance_rows += len(active)
+            nearest = d2.argmin(axis=1)
+            moving = nearest != assignments[active]
+            moved, came, went = active[moving], nearest[moving], assignments[active][moving]
+            new_counts = (counts + np.bincount(came, minlength=k)
+                          - np.bincount(went, minlength=k))
+            full = not new_counts.all()
+        if full:
+            d2 = _sq_distances(points, sq_norms, centroids)
+            distance_rows += n
+            assignments = d2.argmin(axis=1)
+            point_d2 = d2[rows, assignments]
+            counts = reseed_empty(assignments, point_d2)
+            sums = _member_sums(points, assignments, k)
+            set_bounds(rows, d2, assignments, margin)
+        else:
+            counts = new_counts
+            sums += _member_sums(points[moved], came, k, out_of=went)
+            assignments[moved] = came
+            set_bounds(active, d2, nearest, margin[active])
+            if verify_monotone:
+                point_d2 = ((points - centroids[assignments]) ** 2).sum(axis=1)
+        if verify_monotone:
+            inertia = float(point_d2.sum())
+            if inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
+                raise AssertionError(
+                    f"inertia increased: {prev_inertia} -> {inertia} at iteration {iterations}"
+                )
+            prev_inertia = inertia
+
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
         dead = counts == 0
         if dead.any():  # unreachable unless every cluster is a singleton
             new_centroids[dead] = centroids[dead]
-        movement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
         centroids = new_centroids
-        if movement < tol:
+        if float(shift.max()) < tol:
             break
+        shift *= grow
+        upper += shift[assignments]
+        upper *= grow
+        lower -= shift.max()
+        lower *= shrink
 
     # final assignment against the converged centroids
     d2 = _sq_distances(points, sq_norms, centroids)
+    distance_rows += n
     assignments = d2.argmin(axis=1)
     point_d2 = d2[rows, assignments]
     counts = np.bincount(assignments, minlength=k)
@@ -124,9 +210,10 @@ def kmeans(
             if members.any():
                 centroids[j] = points[members].mean(axis=0)
         d2 = _sq_distances(points, sq_norms, centroids)
+        distance_rows += n
         point_d2 = d2[rows, assignments]
     inertia = float(point_d2.sum())
-    return KMeansResult(centroids, assignments, inertia, iterations)
+    return KMeansResult(centroids, assignments, inertia, iterations, distance_rows)
 
 
 def farthest_first_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:

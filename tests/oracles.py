@@ -2,9 +2,9 @@
 
 singular_values is the plain SVD that cluster-count selection is checked
 against.  kmeans_reference and farthest_first_reference are the direct
-forms of numkit.kmeans and numkit.farthest_first_init: they recompute
-every squared norm, build a scaled copy of the points and a fresh one-hot
-matrix per Lloyd iteration, and take one difference array per
+forms of numkit.kmeans and numkit.farthest_first_init: plain Lloyd, which
+computes every point's distances and builds a fresh one-hot matrix for
+the cluster sums in every iteration, and one difference array per
 farthest-first step.
 
 classification_loss, select_confident and target_owned_classes are the
@@ -66,6 +66,7 @@ def kmeans_reference(points, k, init, max_iter=100, tol=1e-6) -> KMeansResult:
     centroids = np.array(init, dtype=np.float64, copy=True)
     assignments = np.zeros(n, dtype=np.intp)
     iterations = 0
+    distance_rows = 0
 
     def reseed_empty(assignments, point_d2):
         counts = np.bincount(assignments, minlength=k)
@@ -83,6 +84,7 @@ def kmeans_reference(points, k, init, max_iter=100, tol=1e-6) -> KMeansResult:
 
     for iterations in range(1, max_iter + 1):
         d2 = _sq_distances(points, centroids)
+        distance_rows += n
         assignments = d2.argmin(axis=1)
         point_d2 = d2[np.arange(n), assignments]
         counts = reseed_empty(assignments, point_d2)
@@ -98,6 +100,7 @@ def kmeans_reference(points, k, init, max_iter=100, tol=1e-6) -> KMeansResult:
             break
 
     d2 = _sq_distances(points, centroids)
+    distance_rows += n
     assignments = d2.argmin(axis=1)
     point_d2 = d2[np.arange(n), assignments]
     counts = np.bincount(assignments, minlength=k)
@@ -108,8 +111,11 @@ def kmeans_reference(points, k, init, max_iter=100, tol=1e-6) -> KMeansResult:
             if members.any():
                 centroids[j] = points[members].mean(axis=0)
         d2 = _sq_distances(points, centroids)
+        distance_rows += n
         point_d2 = d2[np.arange(n), assignments]
-    return KMeansResult(centroids, assignments, float(point_d2.sum()), iterations)
+    return KMeansResult(
+        centroids, assignments, float(point_d2.sum()), iterations, distance_rows
+    )
 
 
 def farthest_first_reference(points, k, rng) -> list[int]:

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
+from fewshift import numkit, semantic
+from fewshift.rng import SplitMix64
 from fewshift.selftrain import ConfidenceRule, PrototypeSet, promote_and_reclassify
 from fewshift.semantic import SemanticFeatureMap
 
@@ -50,3 +52,13 @@ def test_self_training_result_fields():
     assert result.rounds_used == 1
     assert result.confident_count == 2
     assert result.confident == [[0], [1]]
+
+
+def test_kmeans_hook():
+    # numkit.kmeans_ms and numkit.kmeans_iters wrap semantic.kmeans and
+    # read the iteration count off its result
+    assert semantic.kmeans is numkit.kmeans
+    points = np.random.default_rng(0).normal(size=(40, 3))
+    init = numkit.farthest_first_init(points, 3, SplitMix64(1))
+    result = semantic.kmeans(points, 3, init)
+    assert isinstance(result.iterations, int) and result.iterations >= 1

@@ -1,6 +1,11 @@
 """Tests for the per-episode pipeline, evaluation, and ablation machinery."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +213,49 @@ class TestEvaluate:
         serial = evaluate(SyntheticTaskStream(SMALL), 4, cfg, threads=1)
         parallel = evaluate(SyntheticTaskStream(SMALL), 4, cfg, threads=4)
         assert strip_wall_ms(serial.to_csv()) == strip_wall_ms(parallel.to_csv())
+
+
+# evaluate under the chain-full toggles and cs, serially and on two
+# threads; prints predictions and the four losses (as float hex) per run
+BLAS_PROBE = """
+import json
+from fewshift.engine import PipelineConfig, SyntheticTaskStream, config_for_toggles, evaluate
+from fewshift.synthgen import SynthConfig
+
+base = SynthConfig(seed=20230, shift_strength=0.6, pixel_noise=0.15, distractor_rate=0.2)
+out = {}
+for name, toggles in (("chain-full", {"tse", "catt", "cs"}), ("cs", {"cs"})):
+    cfg = config_for_toggles(PipelineConfig(), toggles)
+    for threads in (1, 2):
+        report = evaluate(SyntheticTaskStream(base), 4, cfg, threads)
+        assert not report.failures, report.failures
+        out[f"{name}/threads={threads}"] = [
+            [r.episode_id, r.predictions.tolist()]
+            + [float(getattr(r, f)).hex() for f in ("l_cls", "l_sfa", "l_spa", "l_clm")]
+            for r in report.reports
+        ]
+print(json.dumps(out))
+"""
+
+
+def test_outputs_identical_across_blas_and_pool_threads():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs[blas] = json.loads(done.stdout)
+    for name in ("chain-full", "cs"):
+        serial = runs["1"][f"{name}/threads=1"]
+        assert len(serial) == 4
+        for blas in ("1", "2"):
+            for threads in (1, 2):
+                assert runs[blas][f"{name}/threads={threads}"] == serial, (name, blas, threads)
 
 
 class TestScoreOnce:

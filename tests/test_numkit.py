@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fewshift.errors import NotPositiveDefiniteError
@@ -196,6 +196,131 @@ class TestAgainstReference:
         got = kmeans(pts, 7, init, max_iter=2)
         assert got.iterations == 2
         assert_same_run(got, kmeans_reference(pts, 7, init, max_iter=2))
+
+
+class TestBoundedLloyd:
+    """The cases where skipping a point on its bounds could go wrong."""
+
+    def test_exact_ties_go_to_lowest_index(self):
+        # iteration 1: 3 is 3 from both 0 and 6; the centroids become 2 and
+        # 6, so in iteration 2 the point 4 (index 5) is 2 from both and
+        # leaves cluster 1 for cluster 0
+        pts = np.array([1.0, 3.0, 3.0, 8.0, 1.0, 4.0, 2.0])[:, None]
+        init = np.array([[0.0], [6.0]])
+        got = kmeans(pts, 2, init)
+        assert got.assignments.tolist() == [0, 0, 0, 1, 0, 0, 0]
+        assert_same_run(got, kmeans_reference(pts, 2, init))
+
+    def test_duplicate_centroids_go_to_lowest_index(self):
+        # every point near 0.5 ties between the first two centroids, so
+        # the second starts empty and takes the farthest point
+        pts = np.array([0.0, 0.0, 1.0, 1.0, 9.0, 9.0, 10.0])[:, None]
+        init = np.array([[0.5], [0.5], [9.5]])
+        assert_same_run(kmeans(pts, 3, init), kmeans_reference(pts, 3, init))
+        pts2 = clustered_points(np.random.default_rng(302), 3, 30, 4)
+        init2 = np.vstack([pts2[0], pts2[0], pts2[40], pts2[80]])
+        assert_same_run(kmeans(pts2, 4, init2), kmeans_reference(pts2, 4, init2))
+
+    def test_duplicated_points(self):
+        base = clustered_points(np.random.default_rng(303), 4, 15, 3, spread=1.0)
+        pts = np.repeat(base, 3, axis=0)
+        init = farthest_first_init(pts, 5, SplitMix64(5))
+        assert_same_run(kmeans(pts, 5, init), kmeans_reference(pts, 5, init))
+
+    def test_single_cluster_skips_every_point_after_iteration_one(self):
+        # with k = 1 both lower bounds are +inf: iteration 2 computes no
+        # distance, finds the centroid unmoved and stops
+        pts = np.random.default_rng(304).normal(size=(50, 4))
+        got = kmeans(pts, 1, pts[:1])
+        assert_same_run(got, kmeans_reference(pts, 1, pts[:1]))
+        assert got.iterations == 2
+        assert got.distance_rows == 2 * len(pts)  # iteration 1 and the final pass
+
+    def test_one_cluster_per_point(self):
+        pts = np.random.default_rng(305).normal(size=(12, 3))
+        init = farthest_first_init(pts, 12, SplitMix64(6))
+        got = kmeans(pts, 12, init)
+        assert_same_run(got, kmeans_reference(pts, 12, init))
+        assert sorted(got.assignments.tolist()) == list(range(12))
+
+    def test_cluster_emptied_mid_run_redoes_the_iteration(self):
+        # iteration 1 (ties to the lower index) leaves {5, 2}, {6}, {1, 1, 0}
+        # with means 3.5, 6 and 2/3; at those, both members of the first
+        # cluster leave it, so iteration 2 runs in full and reseeds it
+        pts = np.array([5.0, 6.0, 1.0, 1.0, 0.0, 2.0])[:, None]
+        init = np.array([[4.0], [6.0], [0.0]])
+        after_one = np.array([3.5, 6.0, 2.0 / 3.0])
+        nearest = np.abs(pts - after_one).argmin(axis=1)
+        assert np.bincount(nearest, minlength=3)[0] == 0
+        got = kmeans(pts, 3, init)
+        assert got.iterations >= 2
+        assert_same_run(got, kmeans_reference(pts, 3, init))
+
+    def test_float32_valued_centroids_bit_identical(self):
+        # the pipeline's locals are float32 values: float64 sums of them are
+        # exact in any order, so sums kept from the moved points equal the
+        # reference's one-hot product bit for bit
+        pts = clustered_points(np.random.default_rng(306), 6, 80, 16, spread=1.5)
+        pts = pts.astype(np.float32).astype(np.float64)
+        init = farthest_first_init(pts, 9, SplitMix64(7))
+        got, want = kmeans(pts, 9, init), kmeans_reference(pts, 9, init)
+        assert_same_run(got, want)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia == want.inertia
+
+    def test_clustered_input_prunes_distance_rows(self):
+        # full Lloyd computes n rows per iteration plus n for the final
+        # assignment; the bounds must skip most of them once points settle
+        pts = clustered_points(np.random.default_rng(400), 6, 200, 8, spread=1.0)
+        got = kmeans(pts, 12, farthest_first_init(pts, 12, SplitMix64(0)))
+        assert got.iterations >= 20
+        assert got.distance_rows < 0.5 * len(pts) * got.iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 150),
+    d=st.integers(1, 10),
+    k=st.integers(1, 12),
+    clusters=st.integers(1, 6),
+    spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]),
+    max_iter=st.sampled_from([1, 3, 100]),
+    float32=st.booleans(),
+)
+def test_bounded_lloyd_matches_reference(seed, n, d, k, clusters, spread, max_iter, float32):
+    # float64 points 1e-6 apart sit at the rounding level of the expanded
+    # distance (about 1e-14 at magnitude 3): the last bit of a centroid
+    # decides their argmin, and sums kept from the moved points may round
+    # differently from the reference's product (see the next test)
+    assume(float32 or spread != 1e-6)
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    centers = 3.0 * rng.normal(size=(clusters, d))
+    pts = centers[rng.integers(clusters, size=n)] + spread * rng.normal(size=(n, d))
+    if float32:
+        # float32 values on a 2^-20 grid: every partial sum is exact
+        pts = (np.round(pts * 2.0**20) / 2.0**20).astype(np.float32).astype(np.float64)
+    init = farthest_first_init(pts, k, SplitMix64(seed))
+    got = kmeans(pts, k, init, max_iter=max_iter)
+    want = kmeans_reference(pts, k, init, max_iter=max_iter)
+    assert_same_run(got, want)
+    if float32:
+        assert np.array_equal(got.centroids, want.centroids)
+        assert got.inertia == want.inertia
+
+
+@pytest.mark.parametrize("seed,n", [(21, 96), (26, 58)])
+def test_float64_blob_at_rounding_level(seed, n):
+    # one blob of float64 points 1e-6 apart: the incremental sums leave the
+    # centroids within 1e-12 of the reference, though a noise-level
+    # argmin may then go the other way
+    rng = np.random.default_rng(seed)
+    pts = 3.0 * rng.normal(size=(1, 5)) + 1e-6 * rng.normal(size=(n, 5))
+    init = farthest_first_init(pts, 2, SplitMix64(seed))
+    got, want = kmeans(pts, 2, init, max_iter=3), kmeans_reference(pts, 2, init, max_iter=3)
+    assert got.iterations == want.iterations
+    assert np.allclose(got.centroids, want.centroids, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
