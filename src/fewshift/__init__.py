@@ -14,6 +14,7 @@ from .engine import (
     RunReport,
     SyntheticTaskStream,
     ablate,
+    embed_episode,
     evaluate,
     forward_episode,
     run_episode,
@@ -40,6 +41,7 @@ __all__ = [
     "SynthConfig",
     "SyntheticTaskStream",
     "ablate",
+    "embed_episode",
     "evaluate",
     "forward_episode",
     "generate_episode",

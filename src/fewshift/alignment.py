@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .numkit import cholesky_logdet, gaussian_moments
-from .semantic import SemanticFeatureMap
 
 
 @dataclass
@@ -46,11 +45,14 @@ class GaussianStats:
         return self.mean.shape[0]
 
 
-def fit_semantic_gaussian(
-    maps: Sequence[SemanticFeatureMap], ridge: float = 1e-4
-) -> GaussianStats:
-    """Full-covariance fit over every spatial position of every map."""
-    samples = np.vstack([m.features for m in maps])
+def fit_semantic_gaussian(features: np.ndarray, ridge: float = 1e-4) -> GaussianStats:
+    """Full-covariance fit over every spatial position of every image.
+
+    features is (images, positions, channels), or any array whose last
+    axis holds the channels.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    samples = features.reshape(-1, features.shape[-1])
     if samples.shape[0] < 2:
         raise ValueError("need at least 2 position samples")
     mean, cov = gaussian_moments(samples, ridge)
@@ -97,13 +99,11 @@ def kl_gaussian(a: GaussianStats, b: GaussianStats) -> float:
 
 
 def sfa_loss(
-    maps_query_source: Sequence[SemanticFeatureMap],
-    maps_query_target: Sequence[SemanticFeatureMap],
-    ridge: float = 1e-4,
+    query_source: np.ndarray, query_target: np.ndarray, ridge: float = 1e-4
 ) -> float:
     """Semantic-feature alignment: KL between the two query-set fits."""
-    fit_s = fit_semantic_gaussian(maps_query_source, ridge)
-    fit_t = fit_semantic_gaussian(maps_query_target, ridge)
+    fit_s = fit_semantic_gaussian(query_source, ridge)
+    fit_t = fit_semantic_gaussian(query_target, ridge)
     return kl_gaussian(fit_s, fit_t)
 
 

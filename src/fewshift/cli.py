@@ -202,33 +202,35 @@ def cmd_dump(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    support, qs_maps, qt_maps, k, cents = engine._episode_maps(episode, cfg, None, 0)
+    emb = engine.embed_episode(episode, cfg)
     if args.stage == "centroids":
-        if cents is None:
+        if emb.centroids is None:
             print("raw_local mode has no centroids", file=sys.stderr)
             return 2
-        write_tensor_file(cents.centroids.astype(np.float32), out / "centroids.ftns")
-        print(f"wrote centroids.ftns (k={cents.k})")
+        write_tensor_file(emb.centroids.centroids.astype(np.float32), out / "centroids.ftns")
+        print(f"wrote centroids.ftns (k={emb.centroids.k})")
         return 0
     if args.stage == "semantic":
-        count = 0
-        for group in support:
-            for m in group:
-                grid = m.features.reshape(m.grid_h, m.grid_w, m.channels)
-                write_tensor_file(grid.astype(np.float32), out / f"semantic_{m.owner}.ftns")
-                count += 1
-        for m in qs_maps + qt_maps:
-            grid = m.features.reshape(m.grid_h, m.grid_w, m.channels)
-            write_tensor_file(grid.astype(np.float32), out / f"semantic_{m.owner}.ftns")
-            count += 1
-        print(f"wrote {count} semantic maps")
+        h, w, _ = episode.grid
+        if cfg.feature_mode == "semantic":
+            h, w = h // 2, w // 2  # the quadrant fold halves the grid
+        names = [
+            f"s{c}_{j}" for c, rows in enumerate(emb.support_rows) for j in range(len(rows))
+        ]
+        names += [f"qs{i}" for i in range(len(emb.qs_rows))]
+        names += [f"qt{i}" for i in range(len(emb.qt_rows))]
+        rows = np.concatenate([*emb.support_rows, emb.qs_rows, emb.qt_rows])
+        for name, row in zip(names, rows, strict=True):
+            grid = emb.stack[row].reshape(h, w, -1)
+            write_tensor_file(grid.astype(np.float32), out / f"semantic_{name}.ftns")
+        print(f"wrote {len(names)} semantic maps")
         return 0
 
-    from .patterns import score_set
+    from .patterns import PooledBlocks, score_set
 
-    for prefix, maps in (("qs", qs_maps), ("qt", qt_maps)):
-        table = score_set(maps, support)
-        for q in range(len(maps)):
+    for prefix, rows in (("qs", emb.qs_rows), ("qt", emb.qt_rows)):
+        table = score_set(PooledBlocks(emb.stack, rows), emb.support_rows)
+        for q in range(len(rows)):
             if args.stage == "scores":
                 write_tensor_file(
                     table.scores[q].astype(np.float32),
@@ -239,7 +241,7 @@ def cmd_dump(args) -> int:
                 write_tensor_file(
                     stacked.astype(np.float32), out / f"patterns_{prefix}{q}.ftns"
                 )
-    print(f"wrote {args.stage} for {len(qs_maps) + len(qt_maps)} queries")
+    print(f"wrote {args.stage} for {len(emb.qs_rows) + len(emb.qt_rows)} queries")
     return 0
 
 

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class PipelineConfig:
     k_min: int = 2
     k_max: int = 0              # 0 -> min(d // 2, 64) at run time
     use_catt: bool = True
-    attention_weights: str = ""
     confidence_threshold: float = 1.7
     max_rounds: int = 3
     self_training: bool = True
@@ -151,64 +150,62 @@ class ForwardResult:
     centroids: semantic.SemanticCentroids | None
 
 
-def _episode_maps(
-    episode: Episode, cfg: PipelineConfig, history, task_id: int
-):
-    """Embed every image; returns (support groups, qs maps, qt maps, k, centroids).
+class EpisodeEmbedding(NamedTuple):
+    """Every image of an episode embedded in one stack, with its rows."""
 
-    All images are stacked once, support (class by class) first, then the
-    source and the target queries; the locals the clustering sees are
-    views of that stack, and the semantic embedding is one cosine product
-    over it followed by one quadrant fold.
+    stack: np.ndarray               # (n, positions, channels)
+    support_rows: list[np.ndarray]  # per class, in class order
+    qs_rows: np.ndarray             # source queries
+    qt_rows: np.ndarray             # target queries
+    k: int                          # 0 for raw locals
+    centroids: semantic.SemanticCentroids | None
+
+
+def embed_episode(
+    episode: Episode,
+    cfg: PipelineConfig,
+    history: semantic.SemanticCentroids | None = None,
+) -> EpisodeEmbedding:
+    """Embed every image into one stack.
+
+    The stack holds the support images (class by class) first, then the
+    source and the target queries.  The locals the clustering sees are
+    views of the raw stack, and the semantic embedding is one cosine
+    product over it followed by one quadrant fold.  Raw-local mode keeps
+    the raw locals, (n, h * w, d).
     """
     h, w, d = episode.grid
-    n_support = sum(len(group) for group in episode.support)
-    n_source = n_support + len(episode.query_source)
     images = [m for group in episode.support for m in group]
+    n_support = len(images)
+    n_source = n_support + len(episode.query_source)
     images += list(episode.query_source) + list(episode.query_target)
-    stack = np.asarray(images, dtype=np.float64)  # (n, h, w, d)
-    owners = [
-        f"s{c}_{j}" for c, group in enumerate(episode.support) for j in range(len(group))
-    ]
-    owners += [f"qs{i}" for i in range(len(episode.query_source))]
-    owners += [f"qt{i}" for i in range(len(episode.query_target))]
-    domains = ["source"] * n_source + ["target"] * (len(images) - n_source)
+    raw = np.asarray(images, dtype=np.float64)  # (n, h, w, d)
 
     if cfg.feature_mode == "raw_local":
-        maps = [
-            semantic.SemanticFeatureMap.from_raw(img, owner, domain)
-            for img, owner, domain in zip(stack, owners, domains)
-        ]
-        k, cents = 0, None
+        stack, k, cents = raw.reshape(len(images), h * w, d), 0, None
     else:
-        all_locals = stack.reshape(-1, d)
+        all_locals = raw.reshape(-1, d)
         k_max = cfg.k_max if cfg.k_max else min(d // 2, 64)
         k = semantic.select_cluster_count(all_locals, cfg.tau_rel, cfg.k_min, k_max)
-        params = (
-            semantic.AttentionParams.from_file(cfg.attention_weights, d)
-            if cfg.attention_weights
-            else semantic.AttentionParams.identity(d)
-        )
         warm = history if cfg.use_catt else None
         split = n_source * h * w
-        cents = semantic.cluster_task(
-            all_locals[:split], all_locals[split:], k, warm, params, task_id
-        )
-        grids = semantic.semantic_map(stack, cents)
-        maps = semantic.block_split_concat(grids, owners, domains)
+        cents = semantic.cluster_task(all_locals[:split], all_locals[split:], k, warm)
+        stack = semantic.block_split_concat(semantic.semantic_map(raw, cents))
 
-    support, at = [], 0
+    support_rows, at = [], 0
     for group in episode.support:
-        support.append(maps[at:at + len(group)])
+        support_rows.append(np.arange(at, at + len(group)))
         at += len(group)
-    return support, maps[n_support:n_source], maps[n_source:], k, cents
+    return EpisodeEmbedding(
+        stack, support_rows, np.arange(n_support, n_source),
+        np.arange(n_source, len(images)), k, cents,
+    )
 
 
 def forward_episode(
     episode: Episode,
     cfg: PipelineConfig,
     history: semantic.SemanticCentroids | None = None,
-    task_id: int = 0,
 ) -> ForwardResult:
     """Label-blind pass: embeddings, losses, and target predictions.
 
@@ -217,17 +214,20 @@ def forward_episode(
     self-training, L_clm and L_spa only gather blocks already pooled.
     """
     n = episode.n_way
-    support, qs_maps, qt_maps, k, cents = _episode_maps(episode, cfg, history, task_id)
+    emb = embed_episode(episode, cfg, history)
 
-    qs_table = patterns.score_set(qs_maps, support)
+    # the source-query cache is dropped after one table; only its patterns
+    # are needed later
+    qs_table = patterns.score_set(
+        patterns.PooledBlocks(emb.stack, emb.qs_rows), emb.support_rows
+    )
     l_cls = patterns.cross_entropy(qs_table.scores, episode.query_source_labels)
 
-    qt_blocks = patterns.PooledBlocks(qt_maps)
-    qt_table = patterns.score_set(qt_maps, support, qt_blocks)
+    qt_blocks = patterns.PooledBlocks(emb.stack, emb.qt_rows)
+    qt_table = patterns.score_set(qt_blocks, emb.support_rows)
     if cfg.self_training:
         result = selftrain.promote_and_reclassify(
-            qt_maps, selftrain.PrototypeSet.from_support(support),
-            cfg.confidence_rule(), qt_blocks,
+            qt_blocks, emb.support_rows, cfg.confidence_rule()
         )
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
@@ -239,14 +239,18 @@ def forward_episode(
 
     # the final table scores the target queries against the final prototypes
     l_clm = selftrain.class_matching_loss(final_table, cfg.margin)
-    l_sfa = alignment.sfa_loss(qs_maps, qt_maps, cfg.ridge)
+    l_sfa = alignment.sfa_loss(
+        patterns.take_rows(emb.stack, emb.qs_rows),
+        patterns.take_rows(emb.stack, emb.qt_rows),
+        cfg.ridge,
+    )
 
     # pattern alignment uses the support-based (round-0) patterns on both
     # sides so the per-class vectors share one length
     l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns, cfg.ridge)
     return ForwardResult(
-        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, k, rounds, confident,
-        skipped, cents,
+        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, emb.k, rounds, confident,
+        skipped, emb.centroids,
     )
 
 
@@ -255,12 +259,11 @@ def run_episode(
     cfg: PipelineConfig,
     history: semantic.SemanticCentroids | None = None,
     episode_id: str = "0",
-    task_id: int = 0,
 ) -> tuple[EpisodeReport, semantic.SemanticCentroids | None]:
     """Forward pass plus scoring; returns the report and the centroids
     the next task may warm-start from."""
     start = time.perf_counter()
-    fwd = forward_episode(episode, cfg, history, task_id)
+    fwd = forward_episode(episode, cfg, history)
     labels = np.asarray(episode.scoring_labels())
     correct = fwd.predictions == labels
     accuracy = float(correct.mean())
@@ -401,7 +404,7 @@ def evaluate(
         eid = f"#{i}"  # until the stream has named the episode
         try:
             eid, ep = stream.episode(i)
-            return (*run_episode(ep, cfg, history, eid, task_id=i), None)
+            return (*run_episode(ep, cfg, history, eid), None)
         except Exception as exc:  # episode failure aborts that episode only
             return None, None, (eid, repr(exc))
 

@@ -5,7 +5,7 @@ replace the source-side support prototypes of their class, then the
 remaining target queries are reclassified against the updated set.  The
 round loop stops at a fixed point (the confident selection repeats) or
 after the configured number of rounds.  Ground-truth target labels are
-never visible here: the module only ever sees feature maps.
+never visible here: the module only ever sees the embedded stack.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .numkit import softmax
 from .patterns import PooledBlocks, ScoreTable, score_set
-from .semantic import SemanticFeatureMap
 
 
 @dataclass(frozen=True)
@@ -41,26 +40,11 @@ class ConfidenceRule:
 
 
 @dataclass
-class PrototypeSet:
-    """Per-class lists of the feature maps the classifier matches against."""
-
-    per_class: list[list[SemanticFeatureMap]]
-
-    def __post_init__(self):
-        if any(len(group) == 0 for group in self.per_class):
-            raise ValueError("every class needs at least one prototype")
-
-    @classmethod
-    def from_support(cls, support: Sequence[Sequence[SemanticFeatureMap]]) -> "PrototypeSet":
-        return cls([list(group) for group in support])
-
-
-@dataclass
 class SelfTrainResult:
-    prototypes: PrototypeSet
+    prototypes: list[np.ndarray]  # final stack rows per class
     rounds_used: int
-    confident: list[list[int]]   # final confident query ids per class
-    table: ScoreTable            # queries scored against the final prototypes
+    confident: list[list[int]]    # final confident query positions per class
+    table: ScoreTable             # queries scored against the final prototypes
 
     @property
     def predictions(self) -> np.ndarray:
@@ -85,24 +69,24 @@ def _confident_from_table(
 
 
 def promote_and_reclassify(
-    queries: Sequence[SemanticFeatureMap],
-    initial: PrototypeSet,
+    blocks: PooledBlocks,
+    support_rows: Sequence[Sequence[int]],
     rule: ConfidenceRule,
-    blocks: PooledBlocks | None = None,
 ) -> SelfTrainResult:
     """Iterate confident selection and prototype promotion.
 
-    Classes with at least one confident query swap their prototypes for
-    those queries; classes with none keep what they have.  Predictions
-    always reflect the final prototype set.  blocks, when given, is the
-    query set's cache (see score_set); every round then pools only the
-    images promoted for the first time.
+    blocks is the target query set's cache (see score_set) and
+    support_rows the stack rows of each class's support images.  Classes
+    with at least one confident query swap their prototypes for the
+    stack rows of those queries; classes with none keep what they have.
+    Predictions always reflect the final prototypes.  Every round pools
+    only the images promoted for the first time.
     """
-    prototypes = PrototypeSet.from_support(initial.per_class)
-    n_classes = len(prototypes.per_class)
-    if blocks is None:
-        blocks = PooledBlocks(queries)
-    table = score_set(queries, prototypes.per_class, blocks)
+    prototypes = [np.asarray(rows, dtype=np.intp) for rows in support_rows]
+    if any(len(rows) == 0 for rows in prototypes):
+        raise ValueError("every class needs at least one prototype")
+    n_classes = len(prototypes)
+    table = score_set(blocks, prototypes)
     previous: list[list[int]] = [[] for _ in range(n_classes)]
     confident = previous
     rounds_used = 0
@@ -112,8 +96,8 @@ def promote_and_reclassify(
             break
         for c, ids in enumerate(confident):
             if ids:
-                prototypes.per_class[c] = [queries[q] for q in ids]
-        table = score_set(queries, prototypes.per_class, blocks)
+                prototypes[c] = blocks.query_rows[ids]
+        table = score_set(blocks, prototypes)
         rounds_used = round_no
         previous = confident
     return SelfTrainResult(prototypes, rounds_used, confident, table)

@@ -5,7 +5,7 @@ of the pooled local features, run K-means separately on the source-side
 and target-side locals, optionally warm-start both runs by cross-attending
 the fresh initialization to the previous task's centroids, merge the two
 clusterings into one centroid set, project every local feature onto the
-centroids by cosine, and fold each map's 2x2 spatial quadrants into the
+centroids by cosine, and fold each image's 2x2 spatial quadrants into the
 channel axis.
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .feature_store import read_tensor_file
 from .numkit import (
     cosine_matrix,
     farthest_first_init,
@@ -37,7 +36,6 @@ class SemanticCentroids:
     """Cluster centroids a task projects its local features onto."""
 
     centroids: np.ndarray  # (k, d)
-    task_id: int = 0
 
     def __post_init__(self):
         self.centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -50,65 +48,6 @@ class SemanticCentroids:
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
-
-
-@dataclass(eq=False)
-class SemanticFeatureMap:
-    """Per-position feature rows for one image after the quadrant fold.
-
-    features is (grid_h * grid_w, channels) row-major over the folded
-    grid.  Raw-local maps reuse this container via from_raw, in which
-    case the values are not cosines and channels equal the local dim.
-    """
-
-    features: np.ndarray
-    grid_h: int
-    grid_w: int
-    owner: str = ""
-    domain: str = ""
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.shape[0] != self.grid_h * self.grid_w:
-            raise ValueError("feature rows disagree with the grid size")
-
-    @classmethod
-    def from_raw(cls, image: np.ndarray, owner: str = "", domain: str = "") -> "SemanticFeatureMap":
-        h, w, d = image.shape
-        rows = np.asarray(image, dtype=np.float64).reshape(h * w, d)
-        return cls(rows, h, w, owner, domain)
-
-    @property
-    def positions(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def channels(self) -> int:
-        return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class AttentionParams:
-    """Projection matrices for the centroid warm-start cross-attention."""
-
-    w_q: np.ndarray
-    w_k: np.ndarray
-    w_v: np.ndarray
-
-    @classmethod
-    def identity(cls, dim: int) -> "AttentionParams":
-        eye = np.eye(dim)
-        return cls(eye, eye, eye)
-
-    @classmethod
-    def from_file(cls, path: str, dim: int) -> "AttentionParams":
-        stacked = read_tensor_file(path)
-        if stacked.shape != (3, dim, dim):
-            raise ValueError(
-                f"attention weight tensor must be (3, {dim}, {dim}), got {stacked.shape}"
-            )
-        arr = stacked.astype(np.float64)
-        return cls(arr[0], arr[1], arr[2])
 
 
 def select_cluster_count(
@@ -147,25 +86,21 @@ def select_cluster_count(
     return min(max(count, k_min), k_max)
 
 
-def fuse_centroids(
-    c_init: np.ndarray,
-    c_prev: np.ndarray | None,
-    params: AttentionParams,
-) -> np.ndarray:
+def fuse_centroids(c_init: np.ndarray, c_prev: np.ndarray | None) -> np.ndarray:
     """Cross-attend a fresh initialization to the previous task's centroids.
 
-    A = softmax_rows((C_init W_q)(C_prev W_k)^T / sqrt(d)); the output is
-    the row-normalized C_init + A (C_prev W_v).  An empty history returns
-    C_init unchanged.
+    A = softmax_rows(C_init C_prev^T / sqrt(d)); the output is the
+    row-normalized C_init + A C_prev.  An empty history returns C_init
+    unchanged.
     """
     c_init = np.asarray(c_init, dtype=np.float64)
     if c_prev is None or len(c_prev) == 0:
         return c_init.copy()
     c_prev = np.asarray(c_prev, dtype=np.float64)
     d = c_init.shape[1]
-    logits = (c_init @ params.w_q) @ (c_prev @ params.w_k).T / math.sqrt(d)
+    logits = c_init @ c_prev.T / math.sqrt(d)
     attn = np.vstack([softmax(row) for row in logits])
-    fused = c_init + attn @ (c_prev @ params.w_v)
+    fused = c_init + attn @ c_prev
     return unit_rows(fused)
 
 
@@ -194,8 +129,6 @@ def cluster_task(
     query_locals: np.ndarray,
     k: int,
     warm: SemanticCentroids | None = None,
-    params: AttentionParams | None = None,
-    task_id: int = 0,
 ) -> SemanticCentroids:
     """Cluster the two local-feature pools separately and merge.
 
@@ -207,17 +140,15 @@ def cluster_task(
     query_locals = np.asarray(query_locals, dtype=np.float64)
     if support_locals.shape[0] < k or query_locals.shape[0] < k:
         raise ValueError(f"both local pools need at least k={k} rows")
-    if params is None:
-        params = AttentionParams.identity(support_locals.shape[1])
 
     def side(points: np.ndarray) -> np.ndarray:
         init = farthest_first_init(points, k, SplitMix64(_INIT_SEED))
         if warm is not None:
-            init = fuse_centroids(init, warm.centroids, params)
+            init = fuse_centroids(init, warm.centroids)
         return kmeans(points, k, init).centroids
 
     merged = _merge_match_average(side(support_locals), side(query_locals))
-    return SemanticCentroids(merged, task_id=task_id)
+    return SemanticCentroids(merged)
 
 
 def semantic_map(images: np.ndarray, centroids: SemanticCentroids) -> np.ndarray:
@@ -237,7 +168,7 @@ def semantic_map(images: np.ndarray, centroids: SemanticCentroids) -> np.ndarray
     return cos.reshape(*images.shape[:-1], centroids.k)
 
 
-def block_split_concat(cosine_grid: np.ndarray, owner="", domain=""):
+def block_split_concat(cosine_grid: np.ndarray) -> np.ndarray:
     """Fold the four spatial quadrants into the channel axis.
 
     The grid must have even height and width.  Position (i, j) of the
@@ -245,14 +176,14 @@ def block_split_concat(cosine_grid: np.ndarray, owner="", domain=""):
     bottom-left, bottom-right quadrant values, in that order, giving 4k
     channels.  The mapping is a bijection on the values.
 
-    One (h, w, k) grid gives one SemanticFeatureMap.  A stack (n, h, w, k)
-    is folded in one pass and gives a list of n maps viewing the folded
-    array; owner and domain are then sequences with one entry per image.
+    One (h, w, k) grid folds to (h/2 * w/2, 4k) rows, row-major over the
+    folded grid; a stack (n, h, w, k) folds in one pass to
+    (n, h/2 * w/2, 4k).
     """
     grids = np.asarray(cosine_grid, dtype=np.float64)
     single = grids.ndim == 3
     if single:
-        grids, owner, domain = grids[None], [owner], [domain]
+        grids = grids[None]
     n, h, w, k = grids.shape
     if h % 2 or w % 2:
         raise ValueError(f"grid must have even height and width, got {h}x{w}")
@@ -261,8 +192,4 @@ def block_split_concat(cosine_grid: np.ndarray, owner="", domain=""):
     # halves next to k makes the channel blocks TL, TR, BL, BR
     quads = grids.reshape(n, 2, h2, 2, w2, k).transpose(0, 2, 4, 1, 3, 5)
     folded = quads.reshape(n, h2 * w2, 4 * k)
-    maps = [
-        SemanticFeatureMap(rows, h2, w2, o, dm)
-        for rows, o, dm in zip(folded, owner, domain, strict=True)
-    ]
-    return maps[0] if single else maps
+    return folded[0] if single else folded

@@ -7,24 +7,28 @@ computes every point's distances and builds a fresh one-hot matrix for
 the cluster sums in every iteration, and one difference array per
 farthest-first step.
 
-classification_loss, select_confident and target_owned_classes are the
-convenience forms of scoring and self-training that only tests use.
-reference_scores builds a score table from the reference path
-(similarity_matrix, then similarity_pattern, then the mean).
+similarity_matrix and similarity_pattern are the reference path of
+pattern scoring: they compute every entry with the same elementary
+operations a naive loop would use (per-pair dot and 1-D norms), over
+SemanticFeatureMap, a per-image container of feature rows, so oracle
+tests can demand bit-identical results.  reference_scores builds a score
+table from that path (similarity_matrix, then similarity_pattern, then
+the mean); patterns.score_set must agree with it to float tolerance.
+
+stack_maps turns per-image maps into the stack-plus-rows form the
+pipeline scores.  class_scores, classification_loss, select_confident
+and target_owned_classes are the convenience forms of scoring and
+self-training that only tests use.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from fewshift.numkit import KMeansResult
-from fewshift.patterns import (
-    ScoreTable,
-    cross_entropy,
-    score_set,
-    similarity_matrix,
-    similarity_pattern,
-)
+from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy, score_set
 from fewshift.selftrain import _confident_from_table
 
 
@@ -130,16 +134,144 @@ def farthest_first_reference(points, k, rng) -> list[int]:
     return chosen
 
 
+@dataclass(eq=False)
+class SemanticFeatureMap:
+    """Feature rows of one image, (grid_h * grid_w, channels) row-major."""
 
-def reference_scores(queries, classes) -> ScoreTable:
+    features: np.ndarray
+    grid_h: int
+    grid_w: int
+
+    def __post_init__(self):
+        self.features = np.asarray(self.features, dtype=np.float64)
+        if self.features.shape[0] != self.grid_h * self.grid_w:
+            raise ValueError("feature rows disagree with the grid size")
+
+    @property
+    def positions(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return self.features.shape[1]
+
+
+@dataclass
+class SimilarityPattern:
+    """Pooled similarity vector of one query against one class.
+
+    The vector concatenates one block per support image, in class order.
+    """
+
+    vector: np.ndarray
+
+    @property
+    def score(self) -> float:
+        return float(self.vector.mean())
+
+
+@dataclass
+class ClassScores:
+    """Per-class scalar scores of one query with the top-2 ranking.
+
+    Ties resolve to the lowest class index, so pos != neg whenever at
+    least two classes exist.
+    """
+
+    scores: np.ndarray
+    pos: int
+    neg: int
+
+
+def similarity_matrix(query, support_class) -> np.ndarray:
+    """Entry (i, a, b): cosine of query position a vs support image i
+    position b, computed one at a time from the raw rows so a naive loop
+    reproduces them exactly.
+    """
+    channels = query.channels
+    q = query.features
+    q_norms = [np.linalg.norm(row) for row in q]
+    out = np.empty((len(support_class), query.positions, support_class[0].positions))
+    for i, smap in enumerate(support_class):
+        if smap.channels != channels:
+            raise ValueError(
+                f"channel mismatch: query {channels}, support {smap.channels}"
+            )
+        s = smap.features
+        s_norms = [np.linalg.norm(row) for row in s]
+        for a in range(q.shape[0]):
+            qa, na = q[a], q_norms[a]
+            for b in range(s.shape[0]):
+                denom = na * s_norms[b]
+                if denom == 0.0:
+                    out[i, a, b] = 0.0
+                else:
+                    out[i, a, b] = max(-1.0, min(1.0, float(np.dot(qa, s[b])) / denom))
+    return out
+
+
+def similarity_pattern(matrix) -> SimilarityPattern:
+    """Pool the 3-D similarity tensor into a pattern vector: for every
+    support position, the best match over the query positions."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        raise ValueError("similarity tensor contains non-finite entries")
+    return SimilarityPattern(matrix.max(axis=1).reshape(-1))  # (K * S_s,)
+
+
+def row_map(stack, row) -> SemanticFeatureMap:
+    """The map of one stack row, on a one-line grid."""
+    return SemanticFeatureMap(stack[row], 1, stack.shape[1])
+
+
+def reference_scores(stack, query_rows, classes) -> ScoreTable:
     """score_set computed one (query, class) pair at a time."""
     rows = [
-        [similarity_pattern(similarity_matrix(q, group)).vector for group in classes]
-        for q in queries
+        [
+            similarity_pattern(
+                similarity_matrix(row_map(stack, q), [row_map(stack, r) for r in group])
+            ).vector
+            for group in classes
+        ]
+        for q in query_rows
     ]
     patterns = [np.vstack([row[c] for row in rows]) for c in range(len(classes))]
     scores = np.array([[v.mean() for v in row] for row in rows])
     return ScoreTable(scores, patterns)
+
+
+def stack_maps(queries, classes):
+    """(stack, query rows, per-class rows) of the distinct maps given.
+
+    The queries come first; a map listed more than once gets one row.
+    """
+    rows: dict[int, int] = {}
+    images = []
+
+    def row(m) -> int:
+        if id(m) not in rows:
+            rows[id(m)] = len(images)
+            images.append(m.features)
+        return rows[id(m)]
+
+    query_rows = np.array([row(m) for m in queries], dtype=np.intp)
+    class_rows = [np.array([row(m) for m in group], dtype=np.intp) for group in classes]
+    return np.stack(images), query_rows, class_rows
+
+
+def score_maps(queries, classes) -> ScoreTable:
+    """score_set of per-image maps."""
+    stack, query_rows, class_rows = stack_maps(queries, classes)
+    return score_set(PooledBlocks(stack, query_rows), class_rows)
+
+
+def class_scores(query, classes) -> ClassScores:
+    """Scores of one query map against all classes, with the top-2 ranking."""
+    if len(classes) < 2:
+        raise ValueError("need at least 2 classes to rank")
+    table = score_maps([query], classes)
+    pos, neg = table.top2()
+    return ClassScores(table.scores[0], int(pos[0]), int(neg[0]))
 
 
 def classification_loss(queries, labels, classes) -> float:
@@ -148,21 +280,16 @@ def classification_loss(queries, labels, classes) -> float:
     for lab in labels:
         if not 0 <= lab < n_classes:
             raise ValueError(f"label {lab} outside [0, {n_classes})")
-    table = score_set(queries, classes)
-    return cross_entropy(table.scores, labels)
+    return cross_entropy(score_maps(queries, classes).scores, labels)
 
 
-def select_confident(queries, prototypes, rule):
-    """Query ids that pass the confidence rule, listed under their top class."""
-    table = score_set(queries, prototypes.per_class)
-    return _confident_from_table(table, rule, len(prototypes.per_class))
+def select_confident(blocks, prototypes, rule):
+    """Query positions that pass the confidence rule, listed under their
+    top class."""
+    return _confident_from_table(score_set(blocks, prototypes), rule, len(prototypes))
 
 
-def target_owned_classes(prototypes, queries) -> set[int]:
+def target_owned_classes(prototypes, query_rows) -> set[int]:
     """Classes holding at least one promoted target prototype, that is,
-    one of the query maps themselves."""
-    return {
-        c
-        for c, group in enumerate(prototypes.per_class)
-        if any(p is q for p in group for q in queries)
-    }
+    one of the query rows themselves."""
+    return {c for c, rows in enumerate(prototypes) if np.isin(rows, query_rows).any()}

@@ -18,25 +18,26 @@ from fewshift.engine import (
     PipelineConfig,
     SyntheticTaskStream,
     config_for_toggles,
+    embed_episode,
     evaluate,
     run_episode,
-    _episode_maps,
 )
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans, softmax
-from fewshift.patterns import (
-    class_scores,
-    cross_entropy,
-    similarity_matrix,
-    similarity_pattern,
-)
+from fewshift.patterns import PooledBlocks, cross_entropy
 from fewshift.rng import SplitMix64
 from fewshift.selftrain import (
-    PrototypeSet,
     matching_hinge,
     promote_and_reclassify,
 )
-from fewshift.semantic import SemanticFeatureMap, block_split_concat
+from fewshift.semantic import block_split_concat
 from fewshift.synthgen import SynthConfig, generate_episode
+
+from oracles import (
+    SemanticFeatureMap,
+    class_scores,
+    similarity_matrix,
+    similarity_pattern,
+)
 
 ACCEPT_SEED = 20230
 SUITE_EPISODES = 100
@@ -195,7 +196,7 @@ def ablation_suite():
         for name, toggles in VARIANTS.items():
             variant_cfg = config_for_toggles(base_cfg, toggles)
             report, cents = run_episode(
-                episode, variant_cfg, histories[name], str(i), task_id=i
+                episode, variant_cfg, histories[name], str(i)
             )
             acc[name].append(report.accuracy)
             hashes[name].append(report.episode_hash)
@@ -203,9 +204,9 @@ def ablation_suite():
                 histories[name] = cents
         # promotion audit under the full configuration
         full_cfg = config_for_toggles(base_cfg, VARIANTS["full"])
-        support, _, qt_maps, _, _ = _episode_maps(episode, full_cfg, None, i)
+        emb = embed_episode(episode, full_cfg, None)
         result = promote_and_reclassify(
-            qt_maps, PrototypeSet.from_support([list(g) for g in support]),
+            PooledBlocks(emb.stack, emb.qt_rows), emb.support_rows,
             full_cfg.confidence_rule(),
         )
         labels = episode.scoring_labels()
@@ -278,8 +279,8 @@ def test_criterion_6_alignment_sensitivity():
     assert hi > lo, f"L_sfa at 0.9 ({hi:.3f}) not above L_sfa at 0 ({lo:.3f})"
 
     rng = np.random.default_rng(607)
-    maps = [SemanticFeatureMap(rng.normal(size=(9, 6)), 3, 3) for _ in range(6)]
-    copies = [SemanticFeatureMap(m.features.copy(), 3, 3) for m in maps]
+    maps = [rng.normal(size=(9, 6)) for _ in range(6)]
+    copies = [m.copy() for m in maps]
     self_loss = sfa_loss(maps, copies)
     assert abs(self_loss) <= 1e-8
     print(
@@ -300,7 +301,7 @@ def test_criterion_7_invariant_suite():
     # block-split bijection
     grid = rng.normal(size=(6, 6, 4))
     fmap = block_split_concat(grid)
-    folded = fmap.features.reshape(3, 3, 16)
+    folded = fmap.reshape(3, 3, 16)
     rebuilt = np.empty_like(grid)
     rebuilt[:3, :3] = folded[:, :, 0:4]
     rebuilt[:3, 3:] = folded[:, :, 4:8]

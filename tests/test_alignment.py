@@ -17,12 +17,11 @@ from fewshift.alignment import (
 )
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import gaussian_moments
-from fewshift.semantic import SemanticFeatureMap
 
 
 def map_from(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    return SemanticFeatureMap(rows, 1, rows.shape[0])
+    """The (positions, channels) feature rows of one image."""
+    return np.asarray(rows, dtype=np.float64)
 
 
 def patterns_from(vectors):
@@ -45,7 +44,7 @@ class TestFits:
         rng = np.random.default_rng(0)
         maps = [map_from(rng.normal(size=(6, 4))) for _ in range(3)]
         stats = fit_semantic_gaussian(maps, ridge=1e-3)
-        flat = np.vstack([m.features for m in maps])
+        flat = np.vstack(maps)
         mu, cov = gaussian_moments(flat, 1e-3)
         assert np.array_equal(stats.mean, mu)
         assert np.array_equal(stats.cov, cov)
@@ -209,7 +208,7 @@ class TestSfaLoss:
     def test_identical_sets_zero(self):
         rng = np.random.default_rng(5)
         maps = [map_from(rng.normal(size=(8, 4))) for _ in range(4)]
-        assert abs(sfa_loss(maps, [map_from(m.features.copy()) for m in maps])) <= 1e-8
+        assert abs(sfa_loss(maps, [map_from(m.copy()) for m in maps])) <= 1e-8
 
     def test_same_distribution_small(self):
         # sampling-noise calibration: both sides iid from one Gaussian,

@@ -109,7 +109,9 @@ class TestEval:
                      "--out", str(tmp_path / "r.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("retired", [{"pooling": "query"}, {"replace_mode": "union"}])
+    @pytest.mark.parametrize("retired", [
+        {"pooling": "query"}, {"replace_mode": "union"}, {"attention_weights": "attn.ftns"},
+    ])
     def test_retired_pipeline_field_exits_2(self, tmp_path, synth_config, capsys, retired):
         pipeline = tmp_path / "pipe.json"
         pipeline.write_text(json.dumps(retired))
@@ -189,9 +191,9 @@ class TestDump:
     def test_patterns_stage(self, tmp_path, episodes_dir):
         import numpy as np
 
-        from fewshift.engine import PipelineConfig, _episode_maps
+        from fewshift.engine import PipelineConfig, embed_episode
         from fewshift.feature_store import EpisodeManifest, load_episode
-        from fewshift.patterns import similarity_matrix, similarity_pattern
+        from oracles import row_map, similarity_matrix, similarity_pattern
 
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
         out = tmp_path / "patterns"
@@ -201,13 +203,15 @@ class TestDump:
         main(["dump", "--episode", str(manifest), "--stage", "scores", "--out", str(out)])
         assert len(list(out.glob("patterns_q*.ftns"))) == 2 * 3 * 4
         episode = load_episode(EpisodeManifest.load(manifest), manifest.parent)
-        support, qs_maps, qt_maps, _, _ = _episode_maps(episode, PipelineConfig(), None, 0)
-        for prefix, maps in (("qs", qs_maps), ("qt", qt_maps)):
-            for q, query in enumerate(maps):
+        emb = embed_episode(episode, PipelineConfig())
+        for prefix, query_rows in (("qs", emb.qs_rows), ("qt", emb.qt_rows)):
+            for q, row in enumerate(query_rows):
                 rows = read_tensor_file(out / f"patterns_{prefix}{q}.ftns")
                 want = np.vstack([
-                    similarity_pattern(similarity_matrix(query, group)).vector
-                    for group in support
+                    similarity_pattern(similarity_matrix(
+                        row_map(emb.stack, row), [row_map(emb.stack, r) for r in group]
+                    )).vector
+                    for group in emb.support_rows
                 ])
                 assert rows.shape == want.shape == (3, 9)  # classes x folded 3x3 grid
                 assert np.allclose(rows, want, rtol=0.0, atol=1e-6)

@@ -17,6 +17,7 @@ from fewshift.engine import (
     SyntheticTaskStream,
     ablate,
     config_for_toggles,
+    embed_episode,
     evaluate,
     forward_episode,
     run_episode,
@@ -54,7 +55,7 @@ class TestPipelineConfig:
     def test_unknown_key_rejected(self):
         # the retired knobs are unknown keys like any other
         for field in ("nonsense", "merge", "pooling", "normalize_scores",
-                      "confidence_measure", "replace_mode"):
+                      "confidence_measure", "replace_mode", "attention_weights"):
             with pytest.raises(ConfigError) as err:
                 PipelineConfig.from_dict({field: 1})
             assert err.value.field == field
@@ -141,6 +142,32 @@ class TestRunEpisode:
         # wall_ms stays last, so masking the last column drops only timing
         assert CSV_COLUMNS[-2:] == ("spa_skipped", "wall_ms")
         assert row[-2] == str(report.spa_skipped)
+
+
+class TestEmbedEpisode:
+    def test_rows_partition_the_stack(self):
+        ep, _ = generate_episode(SMALL)
+        emb = embed_episode(ep, PipelineConfig())
+        h, w, _ = ep.grid
+        n = sum(len(g) for g in ep.support) + len(ep.query_source) + len(ep.query_target)
+        assert emb.stack.shape == (n, h // 2 * (w // 2), 4 * emb.k)
+        assert [len(rows) for rows in emb.support_rows] == [len(g) for g in ep.support]
+        assert (len(emb.qs_rows), len(emb.qt_rows)) == (
+            len(ep.query_source), len(ep.query_target))
+        rows = np.concatenate([*emb.support_rows, emb.qs_rows, emb.qt_rows])
+        assert np.array_equal(rows, np.arange(len(emb.stack)))
+        assert emb.k == emb.centroids.k
+
+    def test_raw_local_stack_is_the_reshape(self):
+        ep, _ = generate_episode(SMALL)
+        emb = embed_episode(ep, config_for_toggles(PipelineConfig(), {"cs"}))
+        h, w, d = ep.grid
+        assert (emb.k, emb.centroids) == (0, None)
+        for c, group in enumerate(ep.support):
+            for row, img in zip(emb.support_rows[c], group):
+                assert np.array_equal(emb.stack[row], np.reshape(img, (h * w, d)))
+        for row, img in zip(emb.qt_rows, ep.query_target):
+            assert np.array_equal(emb.stack[row], np.reshape(img, (h * w, d)))
 
 
 class TestEvaluate:
@@ -263,12 +290,12 @@ class TestScoreOnce:
     def test_no_block_pooled_twice(self, monkeypatch, self_training):
         from fewshift import patterns
 
-        pooled = []  # (cache, image); holding both keeps their ids unique
+        pooled = []  # (cache, stack row); holding the cache keeps its id unique
         real = patterns.PooledBlocks._pool
 
-        def recording(self, images):
-            pooled.extend((self, m) for m in images)
-            return real(self, images)
+        def recording(self, rows):
+            pooled.extend((self, r) for r in rows)
+            return real(self, rows)
 
         monkeypatch.setattr(patterns.PooledBlocks, "_pool", recording)
         ep, _ = generate_episode(SMALL)
@@ -276,7 +303,7 @@ class TestScoreOnce:
         fwd = forward_episode(ep, cfg)
         if self_training:
             assert fwd.rounds >= 1
-        keys = [(id(cache), id(m)) for cache, m in pooled]
+        keys = [(id(cache), r) for cache, r in pooled]
         assert len(keys) == len(set(keys))
         # one cache per query set, each holding every support image; the
         # target set's cache adds the queries promoted during self-training

@@ -1,4 +1,8 @@
-"""Tests for similarity tensors, pattern vectors, scores, and the loss."""
+"""Tests for similarity tensors, pattern vectors, scores, and the loss.
+
+The similarity tensor and pattern tests pin the reference path in
+oracles.py; score_set, the path the pipeline runs, must agree with it.
+"""
 
 import math
 
@@ -7,27 +11,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fewshift.patterns import (
-    PooledBlocks,
+from fewshift.patterns import PooledBlocks, cross_entropy, score_set, take_rows
+from fewshift.synthgen import SynthConfig, generate_episode
+
+from oracles import (
+    SemanticFeatureMap,
     class_scores,
-    cross_entropy,
-    score_set,
+    classification_loss,
+    reference_scores,
+    score_maps,
     similarity_matrix,
     similarity_pattern,
 )
-from fewshift.semantic import SemanticFeatureMap
-from fewshift.synthgen import SynthConfig, generate_episode
-
-from oracles import classification_loss, reference_scores
 
 
-def random_map(rng, positions=9, channels=8, owner=""):
+def random_map(rng, positions=9, channels=8):
     grid_h = int(math.isqrt(positions))
     grid_w = positions // grid_h
     return SemanticFeatureMap(
-        rng.uniform(-1.0, 1.0, size=(grid_h * grid_w, channels)),
-        grid_h, grid_w, owner=owner,
+        rng.uniform(-1.0, 1.0, size=(grid_h * grid_w, channels)), grid_h, grid_w
     )
+
+
+def raw_map(image):
+    h, w, d = image.shape
+    return SemanticFeatureMap(np.asarray(image, dtype=np.float64).reshape(h * w, d), h, w)
 
 
 def naive_similarity(query, support_class):
@@ -139,13 +147,10 @@ class TestClassScores:
                           distractor_rate=0.0, part_noise=0.0, n_query=3,
                           height=6, width=6, channels=32)
         ep, _ = generate_episode(cfg)
-        classes = [
-            [SemanticFeatureMap.from_raw(np.asarray(m, float)) for m in grp]
-            for grp in ep.support
-        ]
+        classes = [[raw_map(m) for m in grp] for grp in ep.support]
         labels = ep.scoring_labels()
         for q, img in enumerate(ep.query_target):
-            result = class_scores(SemanticFeatureMap.from_raw(np.asarray(img, float)), classes)
+            result = class_scores(raw_map(img), classes)
             assert result.pos == labels[q]
 
     def test_rescaling_keeps_ranking(self):
@@ -164,7 +169,7 @@ class TestScoreSet:
         rng = np.random.default_rng(7)
         queries = [random_map(rng) for _ in range(3)]
         classes = [[random_map(rng) for _ in range(2)] for _ in range(3)]
-        table = score_set(queries, classes)
+        table = score_maps(queries, classes)
         for q, query in enumerate(queries):
             for c, cls in enumerate(classes):
                 pat = similarity_pattern(similarity_matrix(query, cls))
@@ -183,29 +188,33 @@ def assert_tables_close(got, want):
 
 @st.composite
 def scoring_cases(draw):
-    """Queries and classes with uneven shot counts; the support grid may
-    differ from the query grid, and one map is shared by two classes."""
+    """A stack, its query rows and classes with uneven shot counts; rows
+    sit in any order, and one image is shared by two classes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channels = draw(st.integers(2, 6))
-    q_grid = draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3)]))
-    s_grid = draw(st.sampled_from([(1, 1), (2, 2), (3, 2), (3, 3)]))
-
-    def fresh(grid):
-        return SemanticFeatureMap(rng.uniform(-1, 1, size=(grid[0] * grid[1], channels)), *grid)
-
-    queries = [fresh(q_grid) for _ in range(draw(st.integers(1, 5)))]
+    grid = draw(st.sampled_from([(1, 1), (2, 2), (2, 3), (3, 3)]))
+    n_queries = draw(st.integers(1, 5))
     shots = draw(st.lists(st.integers(1, 3), min_size=2, max_size=5))
-    classes = [[fresh(s_grid) for _ in range(n)] for n in shots]
+    n = n_queries + sum(shots)
+    stack = rng.uniform(-1, 1, size=(n, grid[0] * grid[1], channels))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    classes, at = [], n_queries
+    for shot in shots:
+        classes.append(order[at:at + shot])
+        at += shot
     shared = classes[0][-1]
-    classes[-1].insert(draw(st.integers(0, len(classes[-1]))), shared)
-    return queries, classes
+    classes[-1] = np.insert(classes[-1], draw(st.integers(0, len(classes[-1]))), shared)
+    return stack, order[:n_queries], classes
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=scoring_cases())
 def test_array_path_matches_reference(case):
-    queries, classes = case
-    assert_tables_close(score_set(queries, classes), reference_scores(queries, classes))
+    stack, query_rows, classes = case
+    assert_tables_close(
+        score_set(PooledBlocks(stack, query_rows), classes),
+        reference_scores(stack, query_rows, classes),
+    )
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,32 +222,28 @@ def test_array_path_matches_reference(case):
 def test_shared_cache_across_rounds_matches_reference(case, data):
     # a second round keeps some prototypes, drops others and promotes
     # queries, as self-training does; the cache serves both rounds
-    queries, classes = case
-    blocks = PooledBlocks(queries)
-    first = score_set(queries, classes, blocks)
-    assert_tables_close(first, reference_scores(queries, classes))
-    # a class's images share one grid, so queries are promotable only
-    # when their grid is the support grid
-    promotable = queries if queries[0].positions == classes[0][0].positions else []
+    stack, query_rows, classes = case
+    blocks = PooledBlocks(stack, query_rows)
+    first = score_set(blocks, classes)
+    assert_tables_close(first, reference_scores(stack, query_rows, classes))
     second_round = []
     for group in classes:
-        kept = data.draw(st.lists(st.sampled_from(group), max_size=2, unique_by=id))
-        promoted = (
-            data.draw(st.lists(st.sampled_from(promotable), max_size=2, unique_by=id))
-            if promotable else []
+        kept = data.draw(st.lists(st.sampled_from(group.tolist()), max_size=2, unique=True))
+        promoted = data.draw(
+            st.lists(st.sampled_from(query_rows.tolist()), max_size=2, unique=True)
         )
-        second_round.append(kept + promoted or [group[0]])
-    second = score_set(queries, second_round, blocks)
-    assert_tables_close(second, reference_scores(queries, second_round))
+        second_round.append(kept + promoted or [int(group[0])])
+    second = score_set(blocks, second_round)
+    assert_tables_close(second, reference_scores(stack, query_rows, second_round))
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=scoring_cases(), data=st.data())
 def test_scores_invariant_to_query_order(case, data):
-    queries, classes = case
-    order = data.draw(st.permutations(range(len(queries))))
-    base = score_set(queries, classes)
-    permuted = score_set([queries[i] for i in order], classes)
+    stack, query_rows, classes = case
+    order = data.draw(st.permutations(range(len(query_rows))))
+    base = score_set(PooledBlocks(stack, query_rows), classes)
+    permuted = score_set(PooledBlocks(stack, query_rows[order]), classes)
     assert np.allclose(permuted.scores, base.scores[order], rtol=0.0, atol=1e-12)
     for got, want in zip(permuted.patterns, base.patterns):
         assert np.allclose(got, want[order], rtol=0.0, atol=1e-12)
@@ -247,10 +252,10 @@ def test_scores_invariant_to_query_order(case, data):
 @settings(max_examples=40, deadline=None)
 @given(case=scoring_cases(), data=st.data())
 def test_scores_equivariant_to_class_order(case, data):
-    queries, classes = case
+    stack, query_rows, classes = case
     order = data.draw(st.permutations(range(len(classes))))
-    base = score_set(queries, classes)
-    permuted = score_set(queries, [classes[c] for c in order])
+    base = score_set(PooledBlocks(stack, query_rows), classes)
+    permuted = score_set(PooledBlocks(stack, query_rows), [classes[c] for c in order])
     assert np.allclose(permuted.scores, base.scores[:, order], rtol=0.0, atol=1e-12)
     for c, got in zip(order, permuted.patterns):
         assert np.allclose(got, base.patterns[c], rtol=0.0, atol=1e-12)
@@ -258,43 +263,40 @@ def test_scores_equivariant_to_class_order(case, data):
 
 class TestPooledBlocks:
     def test_image_pooled_once_across_classes_and_calls(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        queries = [random_map(rng) for _ in range(3)]
-        shared = random_map(rng)
-        classes = [[shared, random_map(rng)], [random_map(rng), shared]]
+        stack = np.random.default_rng(13).uniform(-1, 1, size=(6, 9, 8))
+        queries, shared = [0, 1, 2], 3
+        classes = [[shared, 4], [5, shared]]
         pooled = []
         real = PooledBlocks._pool
 
-        def recording(self, images):
-            pooled.extend(id(m) for m in images)
-            return real(self, images)
+        def recording(self, rows):
+            pooled.extend(rows)
+            return real(self, rows)
 
         monkeypatch.setattr(PooledBlocks, "_pool", recording)
-        blocks = PooledBlocks(queries)
-        score_set(queries, classes, blocks=blocks)
-        score_set(queries, [[shared, queries[0]], classes[1]], blocks=blocks)
-        assert sorted(pooled) == sorted({id(m) for g in classes for m in g} | {id(queries[0])})
+        blocks = PooledBlocks(stack, queries)
+        score_set(blocks, classes)
+        score_set(blocks, [[shared, queries[0]], classes[1]])
+        assert sorted(pooled) == [0, 3, 4, 5]
 
-    def test_rejects_cache_of_other_queries(self):
-        rng = np.random.default_rng(14)
-        queries = [random_map(rng) for _ in range(2)]
-        classes = [[random_map(rng)], [random_map(rng)]]
-        blocks = PooledBlocks(queries)
-        with pytest.raises(ValueError):
-            score_set(queries[:1], classes, blocks=blocks)
-        with pytest.raises(ValueError):
-            score_set(queries[::-1], classes, blocks=blocks)
+    def test_take_rows_views_a_consecutive_run(self):
+        stack = np.arange(48.0).reshape(6, 2, 4)
+        run = take_rows(stack, np.arange(2, 5))
+        assert np.shares_memory(run, stack)
+        assert np.array_equal(run, stack[2:5])
+        for rows in ([4, 2, 3], [1, 3], [3, 4, 4], []):
+            assert np.array_equal(take_rows(stack, rows), stack[np.asarray(rows, dtype=np.intp)])
 
     def test_top2_needs_two_classes(self):
-        rng = np.random.default_rng(15)
-        table = score_set([random_map(rng)], [[random_map(rng)]])
+        stack = np.random.default_rng(15).uniform(-1, 1, size=(2, 9, 8))
+        table = score_set(PooledBlocks(stack, [0]), [[1]])
         with pytest.raises(ValueError):
             table.top2()
 
     def test_top2_ties_go_to_lowest_index(self):
-        rng = np.random.default_rng(16)
-        query, other = random_map(rng), random_map(rng)
-        table = score_set([query], [[other], [query], [query], [other]])
+        stack = np.random.default_rng(16).uniform(-1, 1, size=(2, 9, 8))
+        query, other = 0, 1
+        table = score_set(PooledBlocks(stack, [query]), [[other], [query], [query], [other]])
         pos, neg = table.top2()
         assert (pos[0], neg[0]) == (1, 2)
 
@@ -313,7 +315,7 @@ class TestClassificationLoss:
         classes = [[random_map(rng)] for _ in range(3)]
         labels = [0, 2, 1, 0]
         loss = classification_loss(queries, labels, classes)
-        table = score_set(queries, classes)
+        table = score_maps(queries, classes)
         want = 0.0
         for q, lab in enumerate(labels):
             s = table.scores[q]
@@ -333,7 +335,7 @@ class TestClassificationLoss:
         classes = [[m] for m in protos]
         loss = classification_loss(protos, [0, 1, 2], classes)
         assert loss <= math.log(3.0)
-        table = score_set(protos, classes)
+        table = score_maps(protos, classes)
         assert np.array_equal(table.predictions, [0, 1, 2])
 
 

@@ -5,19 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from fewshift.engine import PipelineConfig, config_for_toggles, _episode_maps
-from fewshift.patterns import score_set
+from fewshift.engine import PipelineConfig, config_for_toggles, embed_episode
+from fewshift.patterns import PooledBlocks, score_set
 from fewshift.selftrain import (
     ConfidenceRule,
-    PrototypeSet,
     class_matching_loss,
     matching_hinge,
     promote_and_reclassify,
 )
-from fewshift.semantic import SemanticFeatureMap
 from fewshift.synthgen import SynthConfig, generate_episode
 
-from oracles import select_confident, target_owned_classes
+from oracles import SemanticFeatureMap, select_confident, stack_maps, target_owned_classes
 
 
 def one_hot_map(channel, channels, positions=4, jiggle=0.0, rng=None):
@@ -50,58 +48,73 @@ def split_classes(channels=6):
     return [[one_hot_map(c, channels)] for c in range(3)]
 
 
+def scored(queries, classes=None):
+    """(blocks, per-class rows) of query maps against classes of maps,
+    split_classes by default; the queries take the first stack rows."""
+    stack, query_rows, class_rows = stack_maps(queries, classes or split_classes())
+    return PooledBlocks(stack, query_rows), class_rows
+
+
+def target_blocks(episode, cfg):
+    """(blocks, support rows) of an episode's target queries."""
+    emb = embed_episode(episode, cfg)
+    return PooledBlocks(emb.stack, emb.qt_rows), emb.support_rows
+
+
 class TestSelectConfident:
     def test_clear_queries_selected_once(self):
-        protos = PrototypeSet.from_support(split_classes())
         queries = [one_hot_map(0, 6), one_hot_map(1, 6), one_hot_map(2, 6)]
-        picked = select_confident(queries, protos, ConfidenceRule())
+        picked = select_confident(*scored(queries), ConfidenceRule())
         assert picked == [[0], [1], [2]]
 
     def test_ambiguous_query_not_selected(self):
-        protos = PrototypeSet.from_support(split_classes())
         rows = np.zeros((4, 6))
         rows[:, 0] = 1.0
         rows[:, 1] = 1.0  # equally similar to classes 0 and 1
         queries = [SemanticFeatureMap(rows, 2, 2)]
-        picked = select_confident(queries, protos, ConfidenceRule())
+        picked = select_confident(*scored(queries), ConfidenceRule())
         assert picked == [[], [], []]
 
 
 class TestPromoteAndReclassify:
     def test_nothing_passes_keeps_round_zero(self):
-        protos = PrototypeSet.from_support(split_classes())
         rng = np.random.default_rng(0)
         queries = [one_hot_map(c, 6, jiggle=0.4, rng=rng) for c in (0, 1, 2)]
+        blocks, support = scored(queries)
         # scores lie in [-1, 1], so the ratio never exceeds e^2 < 10
         strict = ConfidenceRule(threshold=10.0)
-        result = promote_and_reclassify(queries, protos, strict)
-        base = score_set(queries, protos.per_class)
+        result = promote_and_reclassify(blocks, support, strict)
+        base = score_set(blocks, support)
         assert np.array_equal(result.predictions, base.predictions)
         assert result.rounds_used == 0
         assert result.confident == [[], [], []]
-        assert target_owned_classes(result.prototypes, queries) == set()
+        assert target_owned_classes(result.prototypes, blocks.query_rows) == set()
 
     def test_early_stop_matches_single_round(self):
         rng = np.random.default_rng(1)
-        protos = PrototypeSet.from_support(split_classes())
         queries = [one_hot_map(c, 6, jiggle=0.02, rng=rng) for c in (0, 1, 2)]
-        one = promote_and_reclassify(queries, protos, ConfidenceRule(max_rounds=1))
-        three = promote_and_reclassify(queries, protos, ConfidenceRule(max_rounds=3))
+        one = promote_and_reclassify(*scored(queries), ConfidenceRule(max_rounds=1))
+        three = promote_and_reclassify(*scored(queries), ConfidenceRule(max_rounds=3))
         assert np.array_equal(one.predictions, three.predictions)
         assert one.confident == three.confident
 
     def test_promotion_replaces_prototypes(self):
         rng = np.random.default_rng(2)
-        protos = PrototypeSet.from_support(split_classes())
         queries = [one_hot_map(0, 6, jiggle=0.01, rng=rng)]
-        result = promote_and_reclassify(queries, protos, ConfidenceRule())
-        assert result.prototypes.per_class[0] == [queries[0]]
-        for before, after in zip(protos.per_class[1:], result.prototypes.per_class[1:]):
-            assert len(after) == len(before)
-            assert all(a is b for a, b in zip(after, before))
-        # the input set is left as it was
-        assert protos.per_class[0][0] is not queries[0]
-        assert target_owned_classes(result.prototypes, queries) == {0}
+        blocks, support = scored(queries)
+        before = [rows.copy() for rows in support]
+        result = promote_and_reclassify(blocks, support, ConfidenceRule())
+        assert result.prototypes[0].tolist() == blocks.query_rows.tolist()
+        for kept, rows in zip(result.prototypes[1:], support[1:]):
+            assert np.array_equal(kept, rows)
+        # the input rows are left as they were
+        assert all(np.array_equal(a, b) for a, b in zip(support, before))
+        assert target_owned_classes(result.prototypes, blocks.query_rows) == {0}
+
+    def test_empty_class_rejected(self):
+        blocks, _ = scored([one_hot_map(0, 6)])
+        with pytest.raises(ValueError):
+            promote_and_reclassify(blocks, [[1], []], ConfidenceRule())
 
     def test_target_ownership_monotone_across_round_budgets(self):
         cfg = SynthConfig(seed=17, shift_strength=0.4, pixel_noise=0.15,
@@ -109,12 +122,11 @@ class TestPromoteAndReclassify:
                           channels=48)
         ep, _ = generate_episode(cfg)
         pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
-        support, _, qtm, _, _ = _episode_maps(ep, pc, None, 0)
-        protos = PrototypeSet.from_support([list(g) for g in support])
+        blocks, support = target_blocks(ep, pc)
         owned = []
         for rounds in (1, 2, 3):
-            res = promote_and_reclassify(qtm, protos, ConfidenceRule(max_rounds=rounds))
-            owned.append(target_owned_classes(res.prototypes, qtm))
+            res = promote_and_reclassify(blocks, support, ConfidenceRule(max_rounds=rounds))
+            owned.append(target_owned_classes(res.prototypes, blocks.query_rows))
         assert owned[0] <= owned[1] <= owned[2]
 
     def test_deterministic(self):
@@ -123,10 +135,8 @@ class TestPromoteAndReclassify:
                           channels=48)
         ep, _ = generate_episode(cfg)
         pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
-        support, _, qtm, _, _ = _episode_maps(ep, pc, None, 0)
-        protos = PrototypeSet.from_support([list(g) for g in support])
-        a = promote_and_reclassify(qtm, protos, ConfidenceRule())
-        b = promote_and_reclassify(qtm, protos, ConfidenceRule())
+        a = promote_and_reclassify(*target_blocks(ep, pc), ConfidenceRule())
+        b = promote_and_reclassify(*target_blocks(ep, pc), ConfidenceRule())
         assert np.array_equal(a.predictions, b.predictions)
         assert a.confident == b.confident
 
@@ -140,9 +150,7 @@ class TestPromoteAndReclassify:
                               channels=48)
             ep, _ = generate_episode(cfg)
             pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
-            support, _, qtm, _, _ = _episode_maps(ep, pc, None, 0)
-            protos = PrototypeSet.from_support([list(g) for g in support])
-            picked = select_confident(qtm, protos, ConfidenceRule())
+            picked = select_confident(*target_blocks(ep, pc), ConfidenceRule())
             labels = ep.scoring_labels()
             for c, ids in enumerate(picked):
                 for q in ids:
@@ -166,34 +174,27 @@ class TestClassMatchingLoss:
     def test_per_term_bounds(self):
         margin = 1.5
         rng = np.random.default_rng(4)
-        protos = PrototypeSet.from_support(split_classes())
         for _ in range(20):
             queries = [one_hot_map(int(rng.integers(3)), 6, jiggle=0.3, rng=rng)]
-            term = class_matching_loss(score_set(queries, protos.per_class), margin)
+            term = class_matching_loss(score_set(*scored(queries)), margin)
             assert max(0.0, margin - 1.0) <= term <= margin
 
     @pytest.mark.parametrize("self_training", [True, False])
     def test_precomputed_table_matches_recomputed(self, self_training):
         rng = np.random.default_rng(6)
-        protos = PrototypeSet.from_support(split_classes())
         queries = [one_hot_map(c, 6, jiggle=0.05, rng=rng) for c in (0, 1, 2, 0, 1)]
+        blocks, protos = scored(queries)
         if self_training:
-            result = promote_and_reclassify(queries, protos, ConfidenceRule())
+            result = promote_and_reclassify(blocks, protos, ConfidenceRule())
             assert result.rounds_used >= 1
             protos, table = result.prototypes, result.table
         else:
-            table = score_set(queries, protos.per_class)
-        recomputed = score_set(queries, protos.per_class)
+            table = score_set(blocks, protos)
+        recomputed = score_set(PooledBlocks(blocks.stack, blocks.query_rows), protos)
         assert class_matching_loss(table, 1.5) == class_matching_loss(recomputed, 1.5)
 
     def test_negative_margin_rejected(self):
-        protos = PrototypeSet.from_support(split_classes())
-        table = score_set([one_hot_map(0, 6)], protos.per_class)
+        table = score_set(*scored([one_hot_map(0, 6)]))
         with pytest.raises(ValueError):
             class_matching_loss(table, -0.5)
 
-
-class TestPrototypeSet:
-    def test_empty_class_rejected(self):
-        with pytest.raises(ValueError):
-            PrototypeSet([[], []])

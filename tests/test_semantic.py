@@ -11,9 +11,7 @@ from scipy.optimize import linear_sum_assignment
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans
 from fewshift.rng import SplitMix64
 from fewshift.semantic import (
-    AttentionParams,
     SemanticCentroids,
-    SemanticFeatureMap,
     block_split_concat,
     cluster_task,
     fuse_centroids,
@@ -141,32 +139,22 @@ def test_exact_tie_counts_within_rounding():
 class TestFuseCentroids:
     def test_empty_history_returns_init(self):
         init = np.random.default_rng(5).normal(size=(3, 6))
-        out = fuse_centroids(init, None, AttentionParams.identity(6))
+        out = fuse_centroids(init, None)
         assert np.array_equal(out, init)
-        out2 = fuse_centroids(init, np.zeros((0, 6)), AttentionParams.identity(6))
+        out2 = fuse_centroids(init, np.zeros((0, 6)))
         assert np.array_equal(out2, init)
 
     def test_orthonormal_self_attention_keeps_direction(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
         rows = q[:4]
-        out = fuse_centroids(rows, rows, AttentionParams.identity(8))
+        out = fuse_centroids(rows, rows)
         cos = (out * rows).sum(axis=1)
         assert np.all(cos >= 1.0 / math.sqrt(2.0))
 
-    def test_zero_value_projection(self):
-        rng = np.random.default_rng(7)
-        init = rng.normal(size=(3, 5))
-        prev = rng.normal(size=(4, 5))
-        eye = np.eye(5)
-        out = fuse_centroids(init, prev, AttentionParams(eye, eye, np.zeros((5, 5))))
-        expected = init / np.linalg.norm(init, axis=1, keepdims=True)
-        assert np.allclose(out, expected, atol=1e-12)
-
     def test_output_rows_unit_norm(self):
         rng = np.random.default_rng(8)
-        out = fuse_centroids(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)),
-                             AttentionParams.identity(4))
+        out = fuse_centroids(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)))
         assert np.allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-12)
 
 
@@ -301,33 +289,22 @@ class TestSemanticMap:
 class TestBlockSplit:
     def test_stack_matches_per_grid(self):
         grids = np.random.default_rng(19).normal(size=(3, 4, 6, 2))
-        maps = block_split_concat(grids, ["a", "b", "c"], ["source", "source", "target"])
-        assert [(m.owner, m.domain) for m in maps] == [
-            ("a", "source"), ("b", "source"), ("c", "target")
-        ]
-        for grid, fmap in zip(grids, maps):
-            one = block_split_concat(grid)
-            assert (fmap.grid_h, fmap.grid_w) == (one.grid_h, one.grid_w) == (2, 3)
-            assert np.array_equal(fmap.features, one.features)
-
-    def test_stack_needs_one_owner_per_image(self):
-        with pytest.raises(ValueError):
-            block_split_concat(np.zeros((2, 2, 2, 1)), ["only"], ["source"])
+        folded = block_split_concat(grids)
+        assert folded.shape == (3, 2 * 3, 4 * 2)
+        for grid, rows in zip(grids, folded):
+            assert np.array_equal(rows, block_split_concat(grid))
 
     def test_minimal_grid_order(self):
         grid = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # 2x2x1
-        fmap = block_split_concat(grid)
-        assert fmap.positions == 1
-        assert fmap.channels == 4
-        assert np.array_equal(fmap.features[0], [1.0, 2.0, 3.0, 4.0])
+        rows = block_split_concat(grid)
+        assert rows.shape == (1, 4)
+        assert np.array_equal(rows[0], [1.0, 2.0, 3.0, 4.0])
 
     def test_multiset_preserved(self):
         grid = np.random.default_rng(16).normal(size=(4, 4, 3))
-        fmap = block_split_concat(grid)
-        assert fmap.features.size == 48
-        assert np.array_equal(
-            np.sort(fmap.features, axis=None), np.sort(grid, axis=None)
-        )
+        rows = block_split_concat(grid)
+        assert rows.size == 48
+        assert np.array_equal(np.sort(rows, axis=None), np.sort(grid, axis=None))
 
     def test_odd_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -335,9 +312,8 @@ class TestBlockSplit:
 
     def test_inverse_round_trip(self):
         grid = np.random.default_rng(17).normal(size=(6, 8, 5))
-        fmap = block_split_concat(grid)
         h2, w2, k = 3, 4, 5
-        folded = fmap.features.reshape(h2, w2, 4 * k)
+        folded = block_split_concat(grid).reshape(h2, w2, 4 * k)
         rebuilt = np.empty_like(grid)
         rebuilt[:h2, :w2] = folded[:, :, 0 * k:1 * k]
         rebuilt[:h2, w2:] = folded[:, :, 1 * k:2 * k]
@@ -345,16 +321,9 @@ class TestBlockSplit:
         rebuilt[h2:, w2:] = folded[:, :, 3 * k:4 * k]
         assert np.array_equal(rebuilt, grid)
 
-    def test_from_raw_wrapping(self):
-        img = np.random.default_rng(18).normal(size=(5, 7, 6))
-        fmap = SemanticFeatureMap.from_raw(img, owner="x", domain="source")
-        assert fmap.positions == 35
-        assert fmap.channels == 6
-        assert np.array_equal(fmap.features, img.reshape(35, 6))
-
 
 def unfold(features, h2, w2):
-    """Inverse of the quadrant fold for one map, quadrant by quadrant."""
+    """Inverse of the quadrant fold for one image, quadrant by quadrant."""
     k = features.shape[1] // 4
     folded = features.reshape(h2, w2, 4 * k)
     grid = np.empty((2 * h2, 2 * w2, k))
@@ -376,17 +345,13 @@ def unfold(features, h2, w2):
 def test_fold_is_a_bijection(seed, n, h2, w2, k):
     rng = np.random.default_rng(seed)
     grids = rng.normal(size=(max(n, 1), 2 * h2, 2 * w2, k))
-    if n == 0:
-        maps = [block_split_concat(grids[0])]
-    else:
-        maps = block_split_concat(grids, [""] * n, [""] * n)
-    assert len(maps) == len(grids)
-    for grid, fmap in zip(grids, maps):
-        assert (fmap.grid_h, fmap.grid_w, fmap.channels) == (h2, w2, 4 * k)
-        assert np.array_equal(unfold(fmap.features, h2, w2), grid)
+    stack = block_split_concat(grids[0])[None] if n == 0 else block_split_concat(grids)
+    assert stack.shape == (len(grids), h2 * w2, 4 * k)
+    for grid, rows in zip(grids, stack):
+        assert np.array_equal(unfold(rows, h2, w2), grid)
     # unfold is also a right inverse, so the fold is one-to-one and onto
     folded = rng.normal(size=(h2 * w2, 4 * k))
-    assert np.array_equal(block_split_concat(unfold(folded, h2, w2)).features, folded)
+    assert np.array_equal(block_split_concat(unfold(folded, h2, w2)), folded)
 
 
 class TestCentroidValidation:
@@ -398,25 +363,3 @@ class TestCentroidValidation:
         with pytest.raises(ValueError):
             SemanticCentroids(np.ones((1, 4)))
 
-
-class TestAttentionParams:
-    def test_identity(self):
-        params = AttentionParams.identity(4)
-        assert np.array_equal(params.w_q, np.eye(4))
-
-    def test_from_file(self, tmp_path):
-        from fewshift.feature_store import write_tensor_file
-
-        stacked = np.random.default_rng(19).normal(size=(3, 6, 6)).astype(np.float32)
-        path = tmp_path / "attn.ftns"
-        write_tensor_file(stacked, path)
-        params = AttentionParams.from_file(str(path), 6)
-        assert np.allclose(params.w_k, stacked[1], atol=1e-7)
-
-    def test_from_file_wrong_shape(self, tmp_path):
-        from fewshift.feature_store import write_tensor_file
-
-        path = tmp_path / "attn.ftns"
-        write_tensor_file(np.zeros((2, 6, 6), dtype=np.float32), path)
-        with pytest.raises(ValueError):
-            AttentionParams.from_file(str(path), 6)
