@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +26,9 @@ from .engine import (
     evaluate,
     run_episode,
 )
-from .errors import ConfigError, FewshiftError
-from .feature_store import (
-    EpisodeManifest,
-    ManifestEntry,
-    load_episode,
-    write_tensor_file,
-)
-from .rng import derive_seed
-from .synthgen import SynthConfig, generate_episode
+from .errors import ConfigError
+from .feature_store import EpisodeManifest, ManifestEntry, write_tensor_file
+from .synthgen import SynthConfig
 
 DUMP_STAGES = ("centroids", "semantic", "patterns", "scores")
 
@@ -64,38 +57,32 @@ def _manifest_paths(episodes_dir: str) -> list[Path]:
     return paths
 
 
-def _write_episode(episode, out_dir: Path, cfg: SynthConfig) -> None:
+def _write_episode(episode, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    support_entries = []
-    for c, group in enumerate(episode.support):
-        for j, arr in enumerate(group):
-            name = f"support_c{c}_s{j}.ftns"
-            write_tensor_file(arr, out_dir / name)
-            support_entries.append(ManifestEntry(name, c, "source"))
-    qs_entries = []
-    for i, (arr, lab) in enumerate(
-        zip(episode.query_source, episode.query_source_labels)
-    ):
-        name = f"query_source_{i:03d}.ftns"
-        write_tensor_file(arr, out_dir / name)
-        qs_entries.append(ManifestEntry(name, lab, "source"))
-    qt_entries = []
-    for i, (arr, lab) in enumerate(
-        zip(episode.query_target, episode.scoring_labels())
-    ):
-        name = f"query_target_{i:03d}.ftns"
-        write_tensor_file(arr, out_dir / name)
-        qt_entries.append(ManifestEntry(name, lab, "target"))
+    n_way, k_shot = episode.n_way, episode.k_shot
+    n_support = n_way * k_shot
+    n_source = len(episode.images) - len(episode.query_target)
+    names = [f"support_c{c}_s{j}.ftns" for c in range(n_way) for j in range(k_shot)]
+    names += [f"query_source_{i:03d}.ftns" for i in range(n_source - n_support)]
+    names += [f"query_target_{i:03d}.ftns" for i in range(len(episode.query_target))]
+    labels = [c for c in range(n_way) for _ in range(k_shot)]
+    labels += [*episode.query_source_labels, *episode.scoring_labels()]
+    domains = ["source"] * n_source + ["target"] * len(episode.query_target)
+    entries = []
+    for name, image, label, domain in zip(names, episode.images, labels, domains, strict=True):
+        write_tensor_file(image, out_dir / name)
+        entries.append(ManifestEntry(name, label, domain))
+    h, w, d = episode.grid
     manifest = EpisodeManifest(
-        n_way=cfg.n_way,
-        k_shot=cfg.k_shot,
-        n_query=cfg.n_query,
-        height=cfg.height,
-        width=cfg.width,
-        channels=cfg.channels,
-        support=tuple(support_entries),
-        query_source=tuple(qs_entries),
-        query_target=tuple(qt_entries),
+        n_way=n_way,
+        k_shot=k_shot,
+        n_query=(n_source - n_support) // n_way,
+        height=h,
+        width=w,
+        channels=d,
+        support=tuple(entries[:n_support]),
+        query_source=tuple(entries[n_support:n_source]),
+        query_target=tuple(entries[n_source:]),
     )
     manifest.save(out_dir / "manifest.json")
 
@@ -104,10 +91,10 @@ def cmd_gen(args) -> int:
     base, episodes = _load_synth_config(args.config, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    stream = SyntheticTaskStream(base)
     for i in range(episodes):
-        cfg = replace(base, seed=derive_seed(base.seed, i))
-        episode, _ = generate_episode(cfg)
-        _write_episode(episode, out / f"episode_{i:03d}", cfg)
+        _, episode = stream.episode(i)
+        _write_episode(episode, out / f"episode_{i:03d}")
     print(f"wrote {episodes} episodes under {out} (base seed {base.seed})")
     return 0
 
@@ -115,11 +102,8 @@ def cmd_gen(args) -> int:
 def _single_episode(args):
     if args.synth:
         base, _ = _load_synth_config(args.synth, args.seed)
-        episode, _ = generate_episode(base)
-        return "synth0000", episode
-    path = Path(args.episode)
-    episode = load_episode(EpisodeManifest.load(path), path.parent)
-    return path.parent.name or path.stem, episode
+        return SyntheticTaskStream(base).episode(0)
+    return ManifestTaskStream([args.episode]).episode(0)
 
 
 def cmd_run(args) -> int:
@@ -197,8 +181,7 @@ def cmd_dump(args) -> int:
         )
         return 2
     cfg = _load_pipeline_config(args.pipeline) if args.pipeline else PipelineConfig()
-    path = Path(args.episode)
-    episode = load_episode(EpisodeManifest.load(path), path.parent)
+    _, episode = ManifestTaskStream([args.episode]).episode(0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -219,9 +202,8 @@ def cmd_dump(args) -> int:
         ]
         names += [f"qs{i}" for i in range(len(emb.qs_rows))]
         names += [f"qt{i}" for i in range(len(emb.qt_rows))]
-        rows = np.concatenate([*emb.support_rows, emb.qs_rows, emb.qt_rows])
-        for name, row in zip(names, rows, strict=True):
-            grid = emb.stack[row].reshape(h, w, -1)
+        for name, embedded in zip(names, emb.stack, strict=True):
+            grid = embedded.reshape(h, w, -1)
             write_tensor_file(grid.astype(np.float32), out / f"semantic_{name}.ftns")
         print(f"wrote {len(names)} semantic maps")
         return 0
@@ -310,16 +292,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FewshiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # unexpected runtime failure
+    except Exception as exc:  # runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -99,7 +99,6 @@ class PipelineConfig:
 class EpisodeReport:
     episode_id: str
     predictions: np.ndarray
-    correct: np.ndarray
     accuracy: float
     l_cls: float
     l_sfa: float
@@ -166,23 +165,19 @@ def embed_episode(
     cfg: PipelineConfig,
     history: semantic.SemanticCentroids | None = None,
 ) -> EpisodeEmbedding:
-    """Embed every image into one stack.
+    """Embed every image into one stack, row for row of episode.images.
 
-    The stack holds the support images (class by class) first, then the
-    source and the target queries.  The locals the clustering sees are
-    views of the raw stack, and the semantic embedding is one cosine
-    product over it followed by one quadrant fold.  Raw-local mode keeps
-    the raw locals, (n, h * w, d).
+    The locals the clustering sees are views of the raw stack, and the
+    semantic embedding is one cosine product over it followed by one
+    quadrant fold.  Raw-local mode keeps the raw locals, (n, h * w, d).
     """
     h, w, d = episode.grid
-    images = [m for group in episode.support for m in group]
-    n_support = len(images)
-    n_source = n_support + len(episode.query_source)
-    images += list(episode.query_source) + list(episode.query_target)
-    raw = np.asarray(images, dtype=np.float64)  # (n, h, w, d)
+    raw = episode.images.astype(np.float64)  # (n, h, w, d)
+    n_support = episode.n_way * episode.k_shot
+    n_source = n_support + len(episode.query_source_labels)
 
     if cfg.feature_mode == "raw_local":
-        stack, k, cents = raw.reshape(len(images), h * w, d), 0, None
+        stack, k, cents = raw.reshape(len(raw), h * w, d), 0, None
     else:
         all_locals = raw.reshape(-1, d)
         k_max = cfg.k_max if cfg.k_max else min(d // 2, 64)
@@ -192,13 +187,10 @@ def embed_episode(
         cents = semantic.cluster_task(all_locals[:split], all_locals[split:], k, warm)
         stack = semantic.block_split_concat(semantic.semantic_map(raw, cents))
 
-    support_rows, at = [], 0
-    for group in episode.support:
-        support_rows.append(np.arange(at, at + len(group)))
-        at += len(group)
+    support_rows = list(np.arange(n_support).reshape(episode.n_way, episode.k_shot))
     return EpisodeEmbedding(
         stack, support_rows, np.arange(n_support, n_source),
-        np.arange(n_source, len(images)), k, cents,
+        np.arange(n_source, len(raw)), k, cents,
     )
 
 
@@ -264,9 +256,7 @@ def run_episode(
     the next task may warm-start from."""
     start = time.perf_counter()
     fwd = forward_episode(episode, cfg, history)
-    labels = np.asarray(episode.scoring_labels())
-    correct = fwd.predictions == labels
-    accuracy = float(correct.mean())
+    accuracy = float((fwd.predictions == np.asarray(episode.scoring_labels())).mean())
     total = (
         fwd.l_cls
         + cfg.lambda_sfa * fwd.l_sfa
@@ -277,7 +267,6 @@ def run_episode(
     report = EpisodeReport(
         episode_id=episode_id,
         predictions=fwd.predictions,
-        correct=correct,
         accuracy=accuracy,
         l_cls=fwd.l_cls,
         l_sfa=fwd.l_sfa,

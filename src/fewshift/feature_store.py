@@ -240,37 +240,46 @@ class EpisodeManifest:
 
 
 class Episode:
-    """One task: grouped support maps plus the two query sets.
+    """One task as one (n, h, w, d) float32 image stack.
 
-    Target labels are deliberately not a public attribute; the pipeline
-    must classify blind and only scoring code may call scoring_labels().
+    The rows hold the support shots class by class, k_shot per class,
+    then the source queries, then the target queries; support (per class),
+    query_source and query_target are views of those runs.  Target labels
+    are deliberately not a public attribute; the pipeline must classify
+    blind and only scoring code may call scoring_labels().
     """
 
     def __init__(
         self,
-        support: list[list[np.ndarray]],
-        query_source: list[np.ndarray],
+        images: np.ndarray,
+        n_way: int,
+        k_shot: int,
         query_source_labels: list[int],
-        query_target: list[np.ndarray],
         target_labels: list[int],
     ):
-        self.support = support
-        self.query_source = query_source
+        # little-endian as in the FTNS payload, so content_hash reads its bytes
+        self.images = np.ascontiguousarray(images, dtype="<f4")
+        n_support = n_way * k_shot
+        n_source = n_support + len(query_source_labels)
+        if self.images.ndim != 4 or len(self.images) != n_source + len(target_labels):
+            raise ValueError(
+                f"image stack of shape {self.images.shape} does not hold "
+                f"{n_way}x{k_shot} support plus {len(query_source_labels)} "
+                f"source and {len(target_labels)} target queries"
+            )
+        self.n_way = n_way
+        self.k_shot = k_shot
+        self.support = list(
+            self.images[:n_support].reshape(n_way, k_shot, *self.images.shape[1:])
+        )
+        self.query_source = self.images[n_support:n_source]
         self.query_source_labels = list(query_source_labels)
-        self.query_target = query_target
+        self.query_target = self.images[n_source:]
         self._quarantined_labels = tuple(int(c) for c in target_labels)
 
     @property
-    def n_way(self) -> int:
-        return len(self.support)
-
-    @property
-    def k_shot(self) -> int:
-        return len(self.support[0])
-
-    @property
     def grid(self) -> tuple[int, int, int]:
-        return self.support[0][0].shape
+        return self.images.shape[1:]
 
     def scoring_labels(self) -> tuple[int, ...]:
         """Held-out target labels. Only accuracy scoring may call this."""
@@ -278,39 +287,38 @@ class Episode:
 
     def content_hash(self) -> str:
         """Digest of every tensor payload and label, for pairing checks."""
-        h = hashlib.sha256()
-        for group in self.support:
-            for arr in group:
-                h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        for arr in self.query_source:
-            h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        h.update(np.asarray(self.query_source_labels, dtype="<i4").tobytes())
-        for arr in self.query_target:
-            h.update(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        h.update(np.asarray(self._quarantined_labels, dtype="<i4").tobytes())
+        h = hashlib.sha256(self.images[: len(self.images) - len(self.query_target)])
+        h.update(np.asarray(self.query_source_labels, dtype="<i4"))
+        h.update(self.query_target)
+        h.update(np.asarray(self._quarantined_labels, dtype="<i4"))
         return h.hexdigest()
 
 
 def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
-    """Materialize an Episode from a manifest and its tensor files."""
+    """Materialize an Episode from a manifest and its tensor files.
+
+    Files are read in manifest order, each into its row of the stack.
+    """
     manifest.validate()
     base = Path(base_dir)
     expected = (manifest.height, manifest.width, manifest.channels)
-
-    def load_entry(entry: ManifestEntry) -> np.ndarray:
+    entries = manifest.support + manifest.query_source + manifest.query_target
+    # validate() guarantees k_shot support entries per class
+    free = [iter(range(c * manifest.k_shot, (c + 1) * manifest.k_shot))
+            for c in range(manifest.n_way)]
+    rows = [next(free[e.class_index]) for e in manifest.support]
+    rows += range(len(rows), len(entries))
+    images = np.empty((len(entries), *expected), dtype="<f4")
+    for row, entry in zip(rows, entries):
         # the normalised path is the one validate() confined
         arr = read_tensor_file(base / os.path.normpath(entry.path))
         if arr.shape != expected:
             raise ShapeMismatchError(
                 f"{entry.path}: shape {arr.shape}, manifest declares {expected}"
             )
-        return arr
-
-    support: list[list[np.ndarray]] = [[] for _ in range(manifest.n_way)]
-    for entry in manifest.support:
-        support[entry.class_index].append(load_entry(entry))
-    query_source = [load_entry(e) for e in manifest.query_source]
-    qs_labels = [e.class_index for e in manifest.query_source]
-    query_target = [load_entry(e) for e in manifest.query_target]
-    qt_labels = [e.class_index for e in manifest.query_target]
-    return Episode(support, query_source, qs_labels, query_target, qt_labels)
+        images[row] = arr
+    return Episode(
+        images, manifest.n_way, manifest.k_shot,
+        [e.class_index for e in manifest.query_source],
+        [e.class_index for e in manifest.query_target],
+    )

@@ -189,7 +189,11 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         return DECOY_DEVIATION * (coeffs @ flat_prototypes)
 
-    def build_image(class_id: int, target: bool, support: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    n_support, n_queries = n * cfg.k_shot, n * cfg.n_query
+    images = np.empty((n_support + 2 * n_queries, cfg.height, cfg.width, d), np.float32)
+
+    def build_image(row: int, class_id: int, target: bool, support: bool) -> np.ndarray:
+        """Draws one image into images[row]; returns its part index per cell."""
         jitter = rng.gaussians(p * d).reshape(p, d) * cfg.part_noise
         noise = rng.gaussians(hw * d).reshape(hw, d) * cfg.pixel_noise
         # query corruption level has mean distractor_rate and a fat tail:
@@ -229,34 +233,20 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
 
         if target:
             cells = transform.apply(cells)
-        grid = cells.astype(np.float32).reshape(cfg.height, cfg.width, d)
-        return grid, parts
+        images[row] = cells.reshape(cfg.height, cfg.width, d)
+        return parts
 
-    support: list[list[np.ndarray]] = []
-    support_parts: list[np.ndarray] = []
-    for c in range(n):
-        shots = []
-        for _ in range(cfg.k_shot):
-            grid, parts = build_image(c, target=False, support=True)
-            shots.append(grid)
-            support_parts.append(parts)
-        support.append(shots)
+    draws = [(c, False, True) for c in range(n) for _ in range(cfg.k_shot)]
+    draws += [
+        (c, target, False)
+        for target in (False, True) for c in range(n) for _ in range(cfg.n_query)
+    ]
+    cell_parts = [build_image(row, *draw) for row, draw in enumerate(draws)]
+    labels = [c for c in range(n) for _ in range(cfg.n_query)]
 
-    def build_queries(target: bool):
-        maps, labels, parts_list = [], [], []
-        for c in range(n):
-            for _ in range(cfg.n_query):
-                grid, parts = build_image(c, target=target)
-                maps.append(grid)
-                labels.append(c)
-                parts_list.append(parts)
-        return maps, labels, parts_list
-
-    qs_maps, qs_labels, qs_parts = build_queries(target=False)
-    qt_maps, qt_labels, qt_parts = build_queries(target=True)
-
-    episode = Episode(support, qs_maps, qs_labels, qt_maps, qt_labels)
+    episode = Episode(images, n, cfg.k_shot, labels, labels)
     truth = SynthGroundTruth(
-        prototypes, layout, transform, support_parts, qs_parts, qt_parts
+        prototypes, layout, transform, cell_parts[:n_support],
+        cell_parts[n_support:n_support + n_queries], cell_parts[n_support + n_queries:],
     )
     return episode, truth

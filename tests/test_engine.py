@@ -126,8 +126,8 @@ class TestRunEpisode:
             def scoring_labels(self):
                 raise AssertionError("pipeline read quarantined labels")
 
-        trip = Tripwire(ep.support, ep.query_source, ep.query_source_labels,
-                        ep.query_target, [0] * len(ep.query_target))
+        trip = Tripwire(ep.images, ep.n_way, ep.k_shot, ep.query_source_labels,
+                        [0] * len(ep.query_target))
         fwd = forward_episode(trip, PipelineConfig())
         assert len(fwd.predictions) == len(ep.query_target)
         with pytest.raises(AssertionError):
@@ -208,11 +208,9 @@ class TestEvaluate:
             def episode(self, index):
                 eid, ep = super().episode(index)
                 if index == 1:
-                    bad_maps = [np.zeros((8, 8, 12), dtype=np.float32)
-                                for _ in ep.query_target]
-                    broken = Episode(ep.support, ep.query_source,
-                                     ep.query_source_labels, bad_maps,
-                                     ep.scoring_labels())
+                    # all-zero images give all-zero centroids, which the pipeline rejects
+                    broken = Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
+                                     ep.query_source_labels, ep.scoring_labels())
                     return eid, broken
                 return eid, ep
 

@@ -19,6 +19,7 @@ from fewshift.errors import (
     UnsupportedVersionError,
 )
 from fewshift.feature_store import (
+    Episode,
     EpisodeManifest,
     ManifestEntry,
     load_episode,
@@ -277,9 +278,42 @@ class TestLoadEpisode:
             load_episode(manifest, tmp_path).content_hash()
         )
 
+    def test_support_rows_are_class_major_in_any_manifest_order(self, tmp_path):
+        manifest = build_manifest(tmp_path, n_way=3, k_shot=2)
+        # c2 s0, c0 s0, c1 s0, c2 s1, c0 s1, c1 s1: each class keeps its shot order
+        interleaved = replace(manifest, support=tuple(
+            manifest.support[2 * c + s] for s in range(2) for c in (2, 0, 1)
+        ))
+        a = load_episode(manifest, tmp_path)
+        b = load_episode(interleaved, tmp_path)
+        assert b.content_hash() == a.content_hash()
+        for c in range(3):
+            assert np.array_equal(b.support[c], a.support[c])
+            assert np.array_equal(
+                a.support[c][1], read_tensor_file(tmp_path / f"s{c}_1.ftns")
+            )
+
     def test_labels_quarantined(self, tmp_path):
         episode = load_episode(build_manifest(tmp_path), tmp_path)
         public = [name for name in vars(episode) if not name.startswith("_")]
         assert "query_source_labels" in public
         assert all("target" not in name or "label" not in name for name in public)
         assert len(episode.scoring_labels()) == len(episode.query_target)
+
+
+class TestEpisode:
+    @pytest.mark.parametrize("n_images", [2 + 3 + 4 - 1, 2 + 3 + 4 + 1])
+    def test_image_count_must_match_the_layout(self, n_images):
+        images = np.zeros((n_images, 2, 2, 3), dtype=np.float32)
+        with pytest.raises(ValueError, match="does not hold"):
+            Episode(images, 2, 1, [0, 1, 1], [0, 1, 0, 1])
+
+    def test_sets_are_views_of_the_stack(self):
+        images = np.arange(9 * 2 * 2 * 3, dtype=np.float32).reshape(9, 2, 2, 3)
+        ep = Episode(images, 2, 1, [0, 1, 1], [0, 1, 0, 1])
+        assert [s.shape for s in ep.support] == [(1, 2, 2, 3)] * 2
+        assert np.array_equal(ep.support[1][0], images[1])
+        assert np.array_equal(ep.query_source, images[2:5])
+        assert np.array_equal(ep.query_target, images[5:])
+        assert all(np.shares_memory(s, ep.images) for s in ep.support)
+        assert ep.grid == (2, 2, 3)

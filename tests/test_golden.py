@@ -89,10 +89,19 @@ GOLDEN = {
 }
 
 
+# content_hash() of the two episodes: a change to how an episode is stored
+# or hashed must not move them
+EPISODE_HASHES = [
+    "863ad73fd98dd16adfeba7578013c18bac648858941bc00fc2c5cdd4143676c3",
+    "5392357f82279d268b9e86fe2b45e93fc08b1a03a96b06fa4db670934aa6722f",
+]
+
+
 @pytest.mark.parametrize("row", list(ROWS))
 def test_outputs_match_recorded(row):
     run = evaluate(SyntheticTaskStream(STREAM), 2, config_for_toggles(PipelineConfig(), ROWS[row]))
     assert not run.failures
+    assert [report.episode_hash for report in run.reports] == EPISODE_HASHES
     for report, want in zip(run.reports, GOLDEN[row], strict=True):
         assert "".join(map(str, report.predictions.tolist())) == want.predictions
         assert (report.k, report.rounds) == (want.k, want.rounds)
