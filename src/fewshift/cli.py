@@ -43,8 +43,8 @@ def _load_synth_config(path: str, seed_override: int | None) -> tuple[SynthConfi
     return SynthConfig.from_dict(raw), episodes
 
 
-def _load_pipeline_config(path: str) -> PipelineConfig:
-    return PipelineConfig.from_file(path)
+def _pipeline_config(args) -> PipelineConfig:
+    return PipelineConfig.from_file(args.pipeline) if args.pipeline else PipelineConfig()
 
 
 def _manifest_paths(episodes_dir: str) -> list[Path]:
@@ -107,7 +107,7 @@ def _single_episode(args):
 
 
 def cmd_run(args) -> int:
-    cfg = _load_pipeline_config(args.pipeline) if args.pipeline else PipelineConfig()
+    cfg = _pipeline_config(args)
     eid, episode = _single_episode(args)
     report, _ = run_episode(episode, cfg, episode_id=eid)
     print(f"episode {report.episode_id}: accuracy {report.accuracy:.4f}")
@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_pipeline_config(args.pipeline) if args.pipeline else PipelineConfig()
+    cfg = _pipeline_config(args)
     if args.synth:
         base, episodes = _load_synth_config(args.synth, args.seed)
         stream = SyntheticTaskStream(base)
@@ -158,7 +158,7 @@ def _parse_grid(text: str) -> list[set[str]]:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _load_pipeline_config(args.pipeline) if args.pipeline else PipelineConfig()
+    cfg = _pipeline_config(args)
     base, episodes = _load_synth_config(args.synth, args.seed)
     n_tasks = args.tasks or episodes
     grid = _parse_grid(args.grid)
@@ -180,7 +180,7 @@ def cmd_dump(args) -> int:
             file=sys.stderr,
         )
         return 2
-    cfg = _load_pipeline_config(args.pipeline) if args.pipeline else PipelineConfig()
+    cfg = _pipeline_config(args)
     _, episode = ManifestTaskStream([args.episode]).episode(0)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -44,35 +44,14 @@ class PipelineConfig:
     lambda_sfa: float = 0.1
     lambda_spa: float = 0.05
     lambda_clm: float = 0.01
-    margin: float = 1.5
-    tau_rel: float = 0.1
-    k_min: int = 2
-    k_max: int = 0              # 0 -> min(d // 2, 64) at run time
     use_catt: bool = True
-    confidence_threshold: float = 1.7
-    max_rounds: int = 3
     self_training: bool = True
-    ridge: float = 1e-4
     feature_mode: str = "semantic"
 
     def __post_init__(self):
         for name in ("lambda_sfa", "lambda_spa", "lambda_clm"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
-        if self.margin < 0:
-            raise ConfigError("margin", "must be >= 0")
-        if not 0.0 < self.tau_rel < 1.0:
-            raise ConfigError("tau_rel", "must lie in (0, 1)")
-        if self.k_min < 2:
-            raise ConfigError("k_min", "must be >= 2")
-        if self.k_max and self.k_max < self.k_min:
-            raise ConfigError("k_max", "must be 0 or >= k_min")
-        if self.confidence_threshold <= 0:
-            raise ConfigError("confidence_threshold", "must be positive")
-        if self.max_rounds < 1:
-            raise ConfigError("max_rounds", "must be >= 1")
-        if self.ridge < 0:
-            raise ConfigError("ridge", "must be >= 0")
         if self.feature_mode not in FEATURE_MODES:
             raise ConfigError("feature_mode", f"must be one of {FEATURE_MODES}")
 
@@ -90,9 +69,6 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def confidence_rule(self) -> selftrain.ConfidenceRule:
-        return selftrain.ConfidenceRule(self.confidence_threshold, self.max_rounds)
 
 
 @dataclass
@@ -180,8 +156,7 @@ def embed_episode(
         stack, k, cents = raw.reshape(len(raw), h * w, d), 0, None
     else:
         all_locals = raw.reshape(-1, d)
-        k_max = cfg.k_max if cfg.k_max else min(d // 2, 64)
-        k = semantic.select_cluster_count(all_locals, cfg.tau_rel, cfg.k_min, k_max)
+        k = semantic.select_cluster_count(all_locals, k_max=min(d // 2, 64))
         warm = history if cfg.use_catt else None
         split = n_source * h * w
         cents = semantic.cluster_task(all_locals[:split], all_locals[split:], k, warm)
@@ -218,9 +193,7 @@ def forward_episode(
     qt_blocks = patterns.PooledBlocks(emb.stack, emb.qt_rows)
     qt_table = patterns.score_set(qt_blocks, emb.support_rows)
     if cfg.self_training:
-        result = selftrain.promote_and_reclassify(
-            qt_blocks, emb.support_rows, cfg.confidence_rule()
-        )
+        result = selftrain.promote_and_reclassify(qt_blocks, emb.support_rows)
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
         final_table = result.table
@@ -230,16 +203,15 @@ def forward_episode(
         final_table = qt_table
 
     # the final table scores the target queries against the final prototypes
-    l_clm = selftrain.class_matching_loss(final_table, cfg.margin)
+    l_clm = selftrain.class_matching_loss(final_table)
     l_sfa = alignment.sfa_loss(
         patterns.take_rows(emb.stack, emb.qs_rows),
         patterns.take_rows(emb.stack, emb.qt_rows),
-        cfg.ridge,
     )
 
     # pattern alignment uses the support-based (round-0) patterns on both
     # sides so the per-class vectors share one length
-    l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns, cfg.ridge)
+    l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns)
     return ForwardResult(
         final_table.predictions, l_cls, l_sfa, l_spa, l_clm, emb.k, rounds, confident,
         skipped, emb.centroids,

@@ -64,7 +64,6 @@ def kmeans(
     init: np.ndarray,
     max_iter: int = 100,
     tol: float = 1e-6,
-    verify_monotone: bool = False,
 ) -> KMeansResult:
     """Lloyd iterations from an explicit k x d initialization.
 
@@ -111,7 +110,6 @@ def kmeans(
     upper = np.empty(n)
     lower = np.empty(n)
     counts = sums = None
-    prev_inertia = math.inf
     iterations = 0
     distance_rows = 0
 
@@ -173,15 +171,6 @@ def kmeans(
             sums += _member_sums(points[moved], came, k, out_of=went)
             assignments[moved] = came
             set_bounds(active, d2, nearest, margin[active])
-            if verify_monotone:
-                point_d2 = ((points - centroids[assignments]) ** 2).sum(axis=1)
-        if verify_monotone:
-            inertia = float(point_d2.sum())
-            if inertia > prev_inertia + 1e-9 * (1.0 + prev_inertia):
-                raise AssertionError(
-                    f"inertia increased: {prev_inertia} -> {inertia} at iteration {iterations}"
-                )
-            prev_inertia = inertia
 
         new_centroids = sums / np.maximum(counts, 1)[:, None]
         dead = counts == 0
@@ -315,15 +304,16 @@ def cosine_matrix(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
-    """Max-subtracted stable softmax."""
+    """Max-subtracted stable softmax along the last axis."""
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("softmax input must be finite")
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:
+    """Max-subtracted log softmax along the last axis."""
     v = np.asarray(v, dtype=np.float64)
-    shifted = v - v.max()
-    return shifted - math.log(np.exp(shifted).sum())
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -111,10 +111,11 @@ def score_set(blocks: PooledBlocks, classes: Sequence[Sequence[int]]) -> ScoreTa
 def cross_entropy(scores: np.ndarray, labels: Sequence[int]) -> float:
     """Mean negative log softmax probability of the labels, rows = queries."""
     scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.intp)
+    if len(labels) == 0:
+        raise ValueError("need at least one label")
     n_classes = scores.shape[1]
-    total = 0.0
-    for q, lab in enumerate(labels):
-        if not 0 <= lab < n_classes:
-            raise ValueError(f"label {lab} outside [0, {n_classes})")
-        total -= log_softmax(scores[q])[lab]
-    return total / len(labels)
+    outside = (labels < 0) | (labels >= n_classes)
+    if outside.any():
+        raise ValueError(f"label {labels[outside][0]} outside [0, {n_classes})")
+    return float(-log_softmax(scores)[np.arange(len(labels)), labels].mean())

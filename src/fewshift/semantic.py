@@ -99,7 +99,7 @@ def fuse_centroids(c_init: np.ndarray, c_prev: np.ndarray | None) -> np.ndarray:
     c_prev = np.asarray(c_prev, dtype=np.float64)
     d = c_init.shape[1]
     logits = c_init @ c_prev.T / math.sqrt(d)
-    attn = np.vstack([softmax(row) for row in logits])
+    attn = softmax(logits)
     fused = c_init + attn @ c_prev
     return unit_rows(fused)
 

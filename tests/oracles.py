@@ -18,18 +18,21 @@ the mean); patterns.score_set must agree with it to float tolerance.
 stack_maps turns per-image maps into the stack-plus-rows form the
 pipeline scores.  class_scores, classification_loss, select_confident
 and target_owned_classes are the convenience forms of scoring and
-self-training that only tests use.
+self-training that only tests use.  confident_by_query,
+clm_by_query and cross_entropy_by_query are per-query loops over a
+score table that the array forms of confident selection, the class
+matching hinge and the classification loss must match.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from fewshift.numkit import KMeansResult
 from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy, score_set
-from fewshift.selftrain import _confident_from_table
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -283,10 +286,46 @@ def classification_loss(queries, labels, classes) -> float:
     return cross_entropy(score_maps(queries, classes).scores, labels)
 
 
-def select_confident(blocks, prototypes, rule):
-    """Query positions that pass the confidence rule, listed under their
-    top class."""
-    return _confident_from_table(score_set(blocks, prototypes), rule, len(prototypes))
+def confident_by_query(scores, threshold=1.7):
+    """Per-query reference of confident selection: a query whose top-2
+    score gap g has math.exp(g) >= threshold is listed under its top
+    class, the lowest index among tied maxima."""
+    per_class = [[] for _ in range(len(scores[0]))]
+    for q, row in enumerate(np.asarray(scores).tolist()):
+        top = row.index(max(row))
+        runner_up = max(row[:top] + row[top + 1:])
+        if math.exp(row[top] - runner_up) >= threshold:
+            per_class[top].append(q)
+    return per_class
+
+
+def clm_by_query(scores, margin=1.5):
+    """Per-query reference of the class matching hinge: the sum over
+    queries of max(pi_neg - pi_pos + margin, 0), pi the softmax of the
+    query's scores and pos, neg its top two classes."""
+    total = 0.0
+    for row in np.asarray(scores).tolist():
+        top = row.index(max(row))
+        runner_up = max(row[:top] + row[top + 1:])
+        norm = sum(math.exp(x - row[top]) for x in row)
+        total += max(math.exp(runner_up - row[top]) / norm - 1.0 / norm + margin, 0.0)
+    return total
+
+
+def cross_entropy_by_query(scores, labels):
+    """Per-query reference of the mean negative log softmax probability
+    of the labels."""
+    total = 0.0
+    for row, lab in zip(np.asarray(scores).tolist(), labels):
+        top = max(row)
+        total += top + math.log(sum(math.exp(x - top) for x in row)) - row[lab]
+    return total / len(labels)
+
+
+def select_confident(blocks, prototypes, threshold=1.7):
+    """Query positions that pass the confidence threshold, listed under
+    their top class."""
+    return confident_by_query(score_set(blocks, prototypes).scores, threshold)
 
 
 def target_owned_classes(prototypes, query_rows) -> set[int]:

@@ -23,10 +23,10 @@ from fewshift.engine import (
     run_episode,
 )
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans, softmax
-from fewshift.patterns import PooledBlocks, cross_entropy
+from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy
 from fewshift.rng import SplitMix64
 from fewshift.selftrain import (
-    matching_hinge,
+    class_matching_loss,
     promote_and_reclassify,
 )
 from fewshift.semantic import block_split_concat
@@ -207,7 +207,6 @@ def ablation_suite():
         emb = embed_episode(episode, full_cfg, None)
         result = promote_and_reclassify(
             PooledBlocks(emb.stack, emb.qt_rows), emb.support_rows,
-            full_cfg.confidence_rule(),
         )
         labels = episode.scoring_labels()
         for c, ids in enumerate(result.confident):
@@ -360,6 +359,8 @@ def test_criterion_8_closed_form_spot_values():
     b = GaussianStats(np.array([1.0]), np.array([[1.0]]), "full", 2, 0.0)
     assert abs(kl_gaussian(a, b) - 0.5) <= 1e-12
 
-    assert abs(matching_hinge(1.0, 0.0, 1.5) - 0.5) <= 1e-12
+    # softmax probabilities (1, 0) of two classes: e^-1000 underflows to 0
+    hinge = class_matching_loss(ScoreTable(np.array([[1000.0, 0.0]]), []), margin=1.5)
+    assert abs(hinge - 0.5) <= 1e-12
     print("PASS criterion 8: ln 5 classification floor, 1-D KL 0.5, "
           "hinge term 0.5 all exact")

@@ -13,7 +13,7 @@ from fewshift.cli import main
 from fewshift.engine import ManifestTaskStream, PipelineConfig, evaluate, forward_episode
 from fewshift.patterns import PooledBlocks
 from fewshift.rng import SplitMix64
-from fewshift.selftrain import ConfidenceRule, promote_and_reclassify
+from fewshift.selftrain import promote_and_reclassify
 from fewshift.synthgen import SynthConfig, generate_episode
 
 RUNNER = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
@@ -117,7 +117,7 @@ def test_self_training_result_fields():
     # matches its own class exactly, so both are promoted in round 1 and
     # round 2 repeats the selection
     stack = np.eye(2)[:, None, :]  # two one-position images
-    result = promote_and_reclassify(PooledBlocks(stack, [0, 1]), [[0], [1]], ConfidenceRule())
+    result = promote_and_reclassify(PooledBlocks(stack, [0, 1]), [[0], [1]])
     assert result.rounds_used == 1
     assert result.confident_count == 2
     assert result.confident == [[0], [1]]

@@ -111,6 +111,8 @@ class TestEval:
 
     @pytest.mark.parametrize("retired", [
         {"pooling": "query"}, {"replace_mode": "union"}, {"attention_weights": "attn.ftns"},
+        {"margin": 1.5}, {"tau_rel": 0.1}, {"k_min": 2}, {"k_max": 0},
+        {"confidence_threshold": 1.7}, {"max_rounds": 3}, {"ridge": 0.0},
     ])
     def test_retired_pipeline_field_exits_2(self, tmp_path, synth_config, capsys, retired):
         pipeline = tmp_path / "pipe.json"

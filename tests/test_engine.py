@@ -1,10 +1,12 @@
 """Tests for the per-episode pipeline, evaluation, and ablation machinery."""
 
+import inspect
 import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 from fewshift.engine import (
     CSV_COLUMNS,
+    TOGGLES,
     ManifestTaskStream,
     PipelineConfig,
     SyntheticTaskStream,
@@ -24,10 +27,15 @@ from fewshift.engine import (
 )
 from fewshift.errors import ConfigError
 from fewshift.feature_store import Episode
+from fewshift.selftrain import class_matching_loss, promote_and_reclassify
 from fewshift.synthgen import SynthConfig, generate_episode
 
 SMALL = SynthConfig(seed=7, shift_strength=0.5, pixel_noise=0.15,
                     distractor_rate=0.2, n_query=5, height=8, width=8, channels=48)
+
+
+def default_of(function, parameter):
+    return inspect.signature(function).parameters[parameter].default
 
 
 def strip_wall_ms(csv_text):
@@ -41,8 +49,18 @@ class TestPipelineConfig:
         assert cfg.lambda_sfa == 0.1
         assert cfg.lambda_spa == 0.05
         assert cfg.lambda_clm == 0.01
-        assert cfg.confidence_threshold == 1.7
-        assert cfg.margin == 1.5
+        assert default_of(promote_and_reclassify, "threshold") == 1.7
+        assert default_of(class_matching_loss, "margin") == 1.5
+
+    def test_every_field_is_an_ablation_toggle_or_a_loss_weight(self):
+        # a knob stays only if an ablation row varies it or the total
+        # weighs a loss with it
+        rows = [config_for_toggles(PipelineConfig(), set(row))
+                for n in range(len(TOGGLES) + 1) for row in combinations(TOGGLES, n)]
+        varied = {f.name for f in fields(PipelineConfig)
+                  if len({getattr(cfg, f.name) for cfg in rows}) > 1}
+        weights = {"lambda_sfa", "lambda_spa", "lambda_clm"}
+        assert {f.name for f in fields(PipelineConfig)} - varied - weights == set()
 
     def test_bad_values_name_field(self):
         with pytest.raises(ConfigError) as err:

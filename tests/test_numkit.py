@@ -81,6 +81,19 @@ def brute_force_two_clusters(points):
     return best
 
 
+def assert_inertia_never_rises(points, k, init):
+    """kmeans under every iteration budget up to the one it stops at: the
+    inertia never rises by more than 1e-9 (1 + previous) from one budget
+    to the next.  Returns the run without a budget."""
+    run = kmeans(points, k, init)
+    previous = math.inf
+    for budget in range(1, run.iterations + 1):
+        inertia = kmeans(points, k, init, max_iter=budget).inertia
+        assert inertia <= previous + 1e-9 * (1.0 + previous), (budget, previous, inertia)
+        previous = inertia
+    return run
+
+
 class TestKMeans:
     def test_two_point_clusters_exact(self):
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0], [10.0, 10.0]])
@@ -110,11 +123,11 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(pts, 0, np.zeros((0, 2)))
 
-    def test_inertia_monotone_under_flag(self):
+    def test_inertia_monotone_across_iteration_budgets(self):
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(120, 5))
         init = farthest_first_init(pts, 6, SplitMix64(7))
-        res = kmeans(pts, 6, init, verify_monotone=True)
+        res = assert_inertia_never_rises(pts, 6, init)
         assert isinstance(res, KMeansResult)
         assert res.inertia >= 0.0
         assert np.bincount(res.assignments, minlength=6).min() >= 1
@@ -332,13 +345,13 @@ def test_float64_blob_at_rounding_level(seed, n):
     clusters=st.integers(1, 6),
     spread=st.sampled_from([0.0, 1e-6, 0.1, 1.0]),
 )
-def test_verify_monotone_never_raises(seed, n, d, k, clusters, spread):
+def test_inertia_never_rises_across_iteration_budgets(seed, n, d, k, clusters, spread):
     rng = np.random.default_rng(seed)
     k = min(k, n)
     centers = 3.0 * rng.normal(size=(clusters, d))
     pts = centers[rng.integers(clusters, size=n)] + spread * rng.normal(size=(n, d))
     init = farthest_first_init(pts, k, SplitMix64(seed))
-    res = kmeans(pts, k, init, verify_monotone=True)
+    res = assert_inertia_never_rises(pts, k, init)
     assert res.inertia >= 0.0
 
 

@@ -351,3 +351,8 @@ class TestCrossEntropy:
         assert cross_entropy(np.zeros((2, 7)), [3, 6]) == pytest.approx(
             math.log(7.0), abs=1e-12
         )
+
+    @pytest.mark.parametrize("labels", [[], [0, 7], [-1, 0]])
+    def test_bad_labels_rejected(self, labels):
+        with pytest.raises(ValueError):
+            cross_entropy(np.zeros((2, 7)), labels)

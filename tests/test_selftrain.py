@@ -4,18 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fewshift.engine import PipelineConfig, config_for_toggles, embed_episode
-from fewshift.patterns import PooledBlocks, score_set
+from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy, score_set
 from fewshift.selftrain import (
-    ConfidenceRule,
+    _confident_from_table,
     class_matching_loss,
-    matching_hinge,
     promote_and_reclassify,
 )
 from fewshift.synthgen import SynthConfig, generate_episode
 
-from oracles import SemanticFeatureMap, select_confident, stack_maps, target_owned_classes
+from oracles import (
+    SemanticFeatureMap,
+    clm_by_query,
+    confident_by_query,
+    cross_entropy_by_query,
+    select_confident,
+    stack_maps,
+    target_owned_classes,
+)
 
 
 def one_hot_map(channel, channels, positions=4, jiggle=0.0, rng=None):
@@ -26,21 +35,26 @@ def one_hot_map(channel, channels, positions=4, jiggle=0.0, rng=None):
     return SemanticFeatureMap(rows, 2, positions // 2)
 
 
+def table(*rows):
+    """A hand-built score table, one row of class scores per query."""
+    return ScoreTable(np.array(rows, dtype=np.float64), [])
+
+
 class TestConfidenceRule:
     def test_equal_scores_not_confident(self):
-        rule = ConfidenceRule()
-        assert not rule.passes(0.4, 0.4)
+        assert _confident_from_table(table([0.4, 0.4]), threshold=1.7) == [[], []]
 
     def test_log2_margin_is_confident(self):
-        rule = ConfidenceRule()  # ratio threshold 1.7
-        assert rule.passes(0.5 + math.log(2.0), 0.5)
+        picked = _confident_from_table(table([0.5 + math.log(2.0), 0.5]), threshold=1.7)
+        assert picked == [[0], []]
         assert math.exp(math.log(2.0)) >= 1.7
 
     def test_validation(self):
+        blocks, support = scored([one_hot_map(0, 6)])
         with pytest.raises(ValueError):
-            ConfidenceRule(threshold=0.0)
+            promote_and_reclassify(blocks, support, threshold=0.0)
         with pytest.raises(ValueError):
-            ConfidenceRule(max_rounds=0)
+            promote_and_reclassify(blocks, support, max_rounds=0)
 
 
 def split_classes(channels=6):
@@ -64,7 +78,7 @@ def target_blocks(episode, cfg):
 class TestSelectConfident:
     def test_clear_queries_selected_once(self):
         queries = [one_hot_map(0, 6), one_hot_map(1, 6), one_hot_map(2, 6)]
-        picked = select_confident(*scored(queries), ConfidenceRule())
+        picked = select_confident(*scored(queries))
         assert picked == [[0], [1], [2]]
 
     def test_ambiguous_query_not_selected(self):
@@ -72,7 +86,7 @@ class TestSelectConfident:
         rows[:, 0] = 1.0
         rows[:, 1] = 1.0  # equally similar to classes 0 and 1
         queries = [SemanticFeatureMap(rows, 2, 2)]
-        picked = select_confident(*scored(queries), ConfidenceRule())
+        picked = select_confident(*scored(queries))
         assert picked == [[], [], []]
 
 
@@ -82,8 +96,7 @@ class TestPromoteAndReclassify:
         queries = [one_hot_map(c, 6, jiggle=0.4, rng=rng) for c in (0, 1, 2)]
         blocks, support = scored(queries)
         # scores lie in [-1, 1], so the ratio never exceeds e^2 < 10
-        strict = ConfidenceRule(threshold=10.0)
-        result = promote_and_reclassify(blocks, support, strict)
+        result = promote_and_reclassify(blocks, support, threshold=10.0)
         base = score_set(blocks, support)
         assert np.array_equal(result.predictions, base.predictions)
         assert result.rounds_used == 0
@@ -93,8 +106,8 @@ class TestPromoteAndReclassify:
     def test_early_stop_matches_single_round(self):
         rng = np.random.default_rng(1)
         queries = [one_hot_map(c, 6, jiggle=0.02, rng=rng) for c in (0, 1, 2)]
-        one = promote_and_reclassify(*scored(queries), ConfidenceRule(max_rounds=1))
-        three = promote_and_reclassify(*scored(queries), ConfidenceRule(max_rounds=3))
+        one = promote_and_reclassify(*scored(queries), max_rounds=1)
+        three = promote_and_reclassify(*scored(queries), max_rounds=3)
         assert np.array_equal(one.predictions, three.predictions)
         assert one.confident == three.confident
 
@@ -103,7 +116,7 @@ class TestPromoteAndReclassify:
         queries = [one_hot_map(0, 6, jiggle=0.01, rng=rng)]
         blocks, support = scored(queries)
         before = [rows.copy() for rows in support]
-        result = promote_and_reclassify(blocks, support, ConfidenceRule())
+        result = promote_and_reclassify(blocks, support)
         assert result.prototypes[0].tolist() == blocks.query_rows.tolist()
         for kept, rows in zip(result.prototypes[1:], support[1:]):
             assert np.array_equal(kept, rows)
@@ -114,7 +127,7 @@ class TestPromoteAndReclassify:
     def test_empty_class_rejected(self):
         blocks, _ = scored([one_hot_map(0, 6)])
         with pytest.raises(ValueError):
-            promote_and_reclassify(blocks, [[1], []], ConfidenceRule())
+            promote_and_reclassify(blocks, [[1], []])
 
     def test_target_ownership_monotone_across_round_budgets(self):
         cfg = SynthConfig(seed=17, shift_strength=0.4, pixel_noise=0.15,
@@ -125,7 +138,7 @@ class TestPromoteAndReclassify:
         blocks, support = target_blocks(ep, pc)
         owned = []
         for rounds in (1, 2, 3):
-            res = promote_and_reclassify(blocks, support, ConfidenceRule(max_rounds=rounds))
+            res = promote_and_reclassify(blocks, support, max_rounds=rounds)
             owned.append(target_owned_classes(res.prototypes, blocks.query_rows))
         assert owned[0] <= owned[1] <= owned[2]
 
@@ -135,8 +148,8 @@ class TestPromoteAndReclassify:
                           channels=48)
         ep, _ = generate_episode(cfg)
         pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
-        a = promote_and_reclassify(*target_blocks(ep, pc), ConfidenceRule())
-        b = promote_and_reclassify(*target_blocks(ep, pc), ConfidenceRule())
+        a = promote_and_reclassify(*target_blocks(ep, pc))
+        b = promote_and_reclassify(*target_blocks(ep, pc))
         assert np.array_equal(a.predictions, b.predictions)
         assert a.confident == b.confident
 
@@ -150,7 +163,7 @@ class TestPromoteAndReclassify:
                               channels=48)
             ep, _ = generate_episode(cfg)
             pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
-            picked = select_confident(*target_blocks(ep, pc), ConfidenceRule())
+            picked = select_confident(*target_blocks(ep, pc))
             labels = ep.scoring_labels()
             for c, ids in enumerate(picked):
                 for q in ids:
@@ -162,13 +175,16 @@ class TestPromoteAndReclassify:
 
 class TestClassMatchingLoss:
     def test_hinge_closed_forms(self):
-        assert matching_hinge(1.0, 0.0, 1.5) == 0.5
-        assert matching_hinge(0.2, 0.2, 1.5) == 1.5
-        assert matching_hinge(0.9, 0.1, 0.0) == 0.0
+        # softmax probabilities (1, 0): e^-1000 underflows to 0
+        assert class_matching_loss(table([1000.0, 0.0]), margin=1.5) == 0.5
+        # (0.5, 0.5)
+        assert class_matching_loss(table([0.2, 0.2]), margin=1.5) == 1.5
+        # (0.9, 0.1)
+        assert class_matching_loss(table([math.log(9.0), 0.0]), margin=0.0) == 0.0
 
     def test_hinge_monotone_in_pos(self):
-        lo = matching_hinge(0.8, 0.2, 1.5)
-        hi = matching_hinge(0.6, 0.2, 1.5)
+        lo = class_matching_loss(table([math.log(4.0), 0.0]), margin=1.5)  # (0.8, 0.2)
+        hi = class_matching_loss(table([math.log(1.5), 0.0]), margin=1.5)  # (0.6, 0.4)
         assert lo <= hi
 
     def test_per_term_bounds(self):
@@ -185,7 +201,7 @@ class TestClassMatchingLoss:
         queries = [one_hot_map(c, 6, jiggle=0.05, rng=rng) for c in (0, 1, 2, 0, 1)]
         blocks, protos = scored(queries)
         if self_training:
-            result = promote_and_reclassify(blocks, protos, ConfidenceRule())
+            result = promote_and_reclassify(blocks, protos)
             assert result.rounds_used >= 1
             protos, table = result.prototypes, result.table
         else:
@@ -198,3 +214,48 @@ class TestClassMatchingLoss:
         with pytest.raises(ValueError):
             class_matching_loss(table, -0.5)
 
+
+
+@st.composite
+def tied_tables(draw):
+    """(Q, N) score tables in [-1, 1] with exact ties: some rows copy
+    their maximum into a second class, and some tables sit on a 1/8 grid,
+    where ties anywhere in a row are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_queries, n_classes = draw(st.integers(1, 30)), draw(st.integers(2, 6))
+    scores = rng.uniform(-1.0, 1.0, size=(n_queries, n_classes))
+    if draw(st.booleans()):
+        scores = np.round(scores * 8.0) / 8.0
+    for q in np.flatnonzero(rng.random(n_queries) < draw(st.sampled_from([0.0, 0.3, 1.0]))):
+        a, b = rng.choice(n_classes, size=2, replace=False)
+        scores[q, a] = scores[q, b] = scores[q].max()
+    return scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=tied_tables(),
+    threshold=st.sampled_from([1.7, 0.5]),
+    margin=st.sampled_from([1.5, 0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_array_heads_match_per_query_references(scores, threshold, margin, seed):
+    """Confident selection, the matching hinge and the cross-entropy are
+    array code over the whole table; each must agree with a per-query
+    loop.  At threshold 0.5 every query is confident, so a tied top goes
+    to its lowest class index."""
+    gaps = np.sort(scores, axis=1)[:, -1] - np.sort(scores, axis=1)[:, -2]
+    assume(np.abs(gaps - math.log(threshold)).min() >= 1e-12)
+    scored_table = ScoreTable(scores, [])
+    assert _confident_from_table(scored_table, threshold) == confident_by_query(scores, threshold)
+    assert math.isclose(class_matching_loss(scored_table, margin), clm_by_query(scores, margin),
+                        rel_tol=1e-12, abs_tol=0.0)
+    labels = np.random.default_rng(seed).integers(scores.shape[1], size=len(scores)).tolist()
+    assert math.isclose(cross_entropy(scores, labels), cross_entropy_by_query(scores, labels),
+                        rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_tied_top_goes_to_lowest_class():
+    tied = table([0.3, 0.7, 0.7, 0.1], [0.7, 0.7, 0.7, 0.7])
+    assert _confident_from_table(tied, threshold=0.5) == [[1], [0], [], []]
+    assert _confident_from_table(tied, threshold=1.7) == [[], [], [], []]
