@@ -14,10 +14,12 @@ episode's quarantined target labels.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -359,6 +361,7 @@ def evaluate(
     """
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
+    _keep_freed_heap()
 
     def one(i: int, history):
         """(report, centroids, failure) for episode i; loading counts too."""
@@ -393,6 +396,39 @@ def evaluate(
         else 0.0
     )
     return RunReport(done, mean, ci, _fingerprint(cfg, stream.descriptor(), n_tasks), failures)
+
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_")
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed episode buffers in the C heap for the next episode.
+
+    glibc serves blocks above its mmap threshold with fresh mappings and
+    trims the heap top above its trim threshold, so every episode's
+    temporaries are unmapped on free and faulted in again by the next
+    episode.  This pins both thresholds once per process at the ceilings
+    glibc's own dynamic rule would reach on 64-bit: 32 MiB for mmap, and
+    twice that for trimming.  It returns False and changes nothing when
+    the C library has no mallopt (macOS), when mallopt refuses (musl), or
+    when the environment already tunes malloc.
+    """
+    if any(name in os.environ for name in _MALLOC_ENV) or (
+        "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")
+    ):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if not mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        return False
+    return bool(mallopt(_M_TRIM_THRESHOLD, 64 << 20))
 
 
 TOGGLES = ("tse", "catt", "cs")

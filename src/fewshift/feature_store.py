@@ -95,12 +95,19 @@ def read_tensor(source: BinaryIO) -> np.ndarray:
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{where}zero dimension in {dims}")
     count = int(np.prod(dims))
-    payload = source.read(4 * count)
-    if len(payload) < 4 * count:
+    size = 4 * count
+    if source.seekable():  # a corrupt header must not size the buffer
+        start = source.tell()
+        size = min(size, source.seek(0, os.SEEK_END) - start)
+        source.seek(start)
+    # read into a writable buffer the array then owns, so nothing is copied
+    payload = bytearray(size)
+    held = source.readinto(payload)
+    if held < 4 * count:
         raise TruncatedError(
-            f"{where}payload declares {count} floats, stream held {len(payload) // 4}"
+            f"{where}payload declares {count} floats, stream held {held // 4}"
         )
-    data = np.frombuffer(payload, dtype="<f4", count=count)
+    data = np.frombuffer(payload, dtype="<f4")
     finite = np.isfinite(data)
     if not finite.all():
         first = int(finite.argmin())
@@ -109,7 +116,7 @@ def read_tensor(source: BinaryIO) -> np.ndarray:
             f"{where}non-finite payload float {data[first]} at byte offset {offset}",
             offset,
         )
-    return data.reshape(dims).copy()
+    return data.reshape(dims)
 
 
 def write_tensor_file(tensor: np.ndarray, path: str | Path) -> int:

@@ -79,7 +79,12 @@ def select_cluster_count(
         raise ValueError("matrix contains non-finite entries")
     eig = np.linalg.eigvalsh(centered.T @ centered)  # ascending
     sv = np.sqrt(np.maximum(eig[::-1], 0.0))
-    scale = float(np.abs(locals_matrix).max()) if locals_matrix.size else 0.0
+    # the largest |entry| without an |x| temporary of the whole matrix
+    scale = (
+        max(float(locals_matrix.max()), -float(locals_matrix.min()))
+        if locals_matrix.size
+        else 0.0
+    )
     if sv[0] <= 1e-10 * max(1.0, scale):
         return k_min  # degenerate: all rows equal
     count = int((sv >= tau_rel * sv[0]).sum())

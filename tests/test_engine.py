@@ -1,5 +1,6 @@
 """Tests for the per-episode pipeline, evaluation, and ablation machinery."""
 
+import ctypes
 import inspect
 import json
 import os
@@ -8,10 +9,12 @@ import sys
 from dataclasses import fields, replace
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fewshift import engine
 from fewshift.engine import (
     CSV_COLUMNS,
     TOGGLES,
@@ -299,6 +302,104 @@ def test_outputs_identical_across_blas_and_pool_threads():
         for blas in ("1", "2"):
             for threads in (1, 2):
                 assert runs[blas][f"{name}/threads={threads}"] == serial, (name, blas, threads)
+
+
+# evaluate twice on 4 pre-generated chained acceptance-config episodes;
+# prints the minor page faults per episode of the second call, and
+# whether the heap policy was applied
+FAULT_PROBE = """
+import json, resource
+from fewshift import engine
+from fewshift.synthgen import SynthConfig, generate_episode
+
+episodes = [generate_episode(SynthConfig(seed=20230 ^ i, shift_strength=0.6,
+                                         pixel_noise=0.15, distractor_rate=0.2))[0]
+            for i in range(4)]
+
+class Stream:
+    def episode(self, i):
+        return f"e{i}", episodes[i]
+
+    def descriptor(self):
+        return "probe"
+
+engine.evaluate(Stream(), 4, engine.PipelineConfig())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+report = engine.evaluate(Stream(), 4, engine.PipelineConfig())
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+assert not report.failures, report.failures
+print(json.dumps({"kept": engine._keep_freed_heap(), "per_episode": faults / 4}))
+"""
+
+
+def test_serial_chain_does_not_refault_the_heap():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", FAULT_PROBE], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    probe = json.loads(done.stdout)
+    if not probe["kept"]:
+        pytest.skip("this C library or environment keeps its own malloc policy")
+    # glibc's default thresholds give thousands of faults per episode here
+    assert probe["per_episode"] <= 100, probe
+
+
+class FakeMallopt:
+    def __init__(self, result):
+        self.result = result
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return self.result
+
+
+class TestKeepFreedHeap:
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self, monkeypatch):
+        for name in engine._MALLOC_ENV + ("GLIBC_TUNABLES",):
+            monkeypatch.delenv(name, raising=False)
+        engine._keep_freed_heap.cache_clear()
+        yield
+        engine._keep_freed_heap.cache_clear()
+
+    @pytest.mark.parametrize("tunables", [None, "glibc.cpu.hwcaps=-AVX2"])
+    def test_pins_both_thresholds(self, monkeypatch, tunables):
+        if tunables:
+            monkeypatch.setenv("GLIBC_TUNABLES", tunables)
+        mallopt = FakeMallopt(1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert engine._keep_freed_heap() is True
+        assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_no_mallopt_leaves_evaluate_working(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert engine._keep_freed_heap() is False
+        report = evaluate(SyntheticTaskStream(SMALL), 2, PipelineConfig())
+        assert len(report.reports) == 2 and not report.failures
+
+    def test_refusing_mallopt_changes_nothing_more(self, monkeypatch):
+        mallopt = FakeMallopt(0)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert engine._keep_freed_heap() is False
+        assert len(mallopt.calls) == 1
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"),
+        ("MALLOC_TOP_PAD_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_environment_policy_respected(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        mallopt = FakeMallopt(1)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        assert engine._keep_freed_heap() is False
+        assert mallopt.calls == []
 
 
 class TestScoreOnce:

@@ -1,6 +1,7 @@
 """Tests for the tensor container, manifests, and episode loading."""
 
 import io
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -87,7 +88,9 @@ class TestTensorFormat:
         arr = np.random.default_rng(1).normal(size=(3, 4)).astype(np.float32)
         path = tmp_path / "t.ftns"
         write_tensor_file(arr, path)
-        assert np.array_equal(read_tensor_file(path), arr)
+        back = read_tensor_file(path)
+        assert back.tobytes() == arr.tobytes()
+        assert back.flags.writeable  # the array owns its buffer
 
     def test_sink_failure_reports_offset(self):
         class FailingSink:
@@ -131,6 +134,18 @@ class TestTensorFormat:
         with pytest.raises(NonFiniteError, match=r"cut\.ftns.*byte offset 18"):
             read_tensor_file(path)
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_huge_declared_payload_is_truncation(self, tmp_path, from_file):
+        # the header declares 14.4 GB; the stream holds 16 bytes
+        blob = b"FTNS" + struct.pack("<BB2I", 1, 2, 60000, 60000) + bytes(16)
+        path = tmp_path / "huge.ftns"
+        path.write_bytes(blob)
+        with pytest.raises(TruncatedError, match="stream held 4"):
+            if from_file:
+                read_tensor_file(path)
+            else:
+                read_tensor(io.BytesIO(blob))
+
 
 finite_tensors = hnp.arrays(
     np.float32,
@@ -147,6 +162,7 @@ def test_tensor_round_trip_property(arr):
     back = read_tensor(io.BytesIO(sink.getvalue()))
     assert back.dtype == np.float32
     assert back.shape == arr.shape
+    assert back.flags.writeable
     assert back.tobytes() == arr.astype("<f4").tobytes()  # -0.0 and subnormals too
 
 
