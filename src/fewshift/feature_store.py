@@ -150,9 +150,11 @@ class EpisodeManifest:
     """Declares one episode: support shots plus both query sets.
 
     Invariants checked by validate(): every entry path stays inside the
-    episode directory, support holds exactly n_way*k_shot
-    entries with k_shot per class, both query sets reference exactly the
-    classes 0..n_way-1, and all tensors share the declared (h, w, d).
+    episode directory, every entry's domain is "source" in support and
+    query_source and "target" in query_target, support holds exactly
+    n_way*k_shot entries with k_shot per class, and both query sets hold
+    n_way*n_query entries that reference exactly the classes 0..n_way-1.
+    load_episode checks that all tensors share the declared (h, w, d).
     """
 
     n_way: int
@@ -166,11 +168,20 @@ class EpisodeManifest:
     query_target: tuple[ManifestEntry, ...]
 
     def validate(self) -> None:
-        for entry in self.support + self.query_source + self.query_target:
-            if not _confined(entry.path):
-                raise ManifestError(
-                    f"entry path {entry.path!r} leaves the episode directory"
-                )
+        sets = (("support", self.support, "source"),
+                ("query_source", self.query_source, "source"),
+                ("query_target", self.query_target, "target"))
+        for name, entries, domain in sets:
+            for entry in entries:
+                if not _confined(entry.path):
+                    raise ManifestError(
+                        f"entry path {entry.path!r} leaves the episode directory"
+                    )
+                if entry.domain != domain:
+                    raise ManifestError(
+                        f"{name} entry {entry.path!r} has domain {entry.domain!r}, "
+                        f"expected {domain!r}"
+                    )
         if self.n_way < 1 or self.k_shot < 1 or self.n_query < 1:
             raise ManifestError("n_way, k_shot, n_query must all be >= 1")
         if len(self.support) != self.n_way * self.k_shot:
@@ -185,8 +196,12 @@ class EpisodeManifest:
             per_class[e.class_index] += 1
         if any(c != self.k_shot for c in per_class):
             raise ManifestError(f"support classes unbalanced: {per_class}")
-        for name, entries in (("query_source", self.query_source),
-                              ("query_target", self.query_target)):
+        for name, entries, _ in sets[1:]:
+            if len(entries) != self.n_way * self.n_query:
+                raise ManifestError(
+                    f"{name} holds {len(entries)} entries, "
+                    f"expected {self.n_way * self.n_query}"
+                )
             classes = {e.class_index for e in entries}
             if classes != set(range(self.n_way)):
                 raise ManifestError(

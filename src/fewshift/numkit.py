@@ -264,19 +264,17 @@ def _pivot_of_failure(sigma: np.ndarray) -> int:
     return d - 1
 
 
-def cholesky_logdet(sigma: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and log-determinant of a symmetric PD matrix."""
+def cholesky(sigma: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix."""
     sigma = np.asarray(sigma, dtype=np.float64)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-10):
         raise ValueError("matrix is not symmetric")
     try:
-        lower = np.linalg.cholesky(sigma)
+        return np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(_pivot_of_failure(sigma)) from None
-    logdet = 2.0 * float(np.log(np.diag(lower)).sum())
-    return lower, logdet
 
 
 def unit_rows(a: np.ndarray) -> np.ndarray:

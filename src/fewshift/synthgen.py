@@ -145,9 +145,7 @@ class SynthGroundTruth:
     prototypes: np.ndarray            # (n_way, parts, d)
     layout: np.ndarray                # (h*w,) part index per cell
     transform: DomainTransform
-    support_parts: list[np.ndarray]   # per support image, -1 where distractor
-    query_source_parts: list[np.ndarray]
-    query_target_parts: list[np.ndarray]
+    parts: np.ndarray                 # (n, h*w) per row of episode.images, -1 where decoy
 
 
 def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
@@ -189,11 +187,16 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
         coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
         return DECOY_DEVIATION * (coeffs @ flat_prototypes)
 
-    n_support, n_queries = n * cfg.k_shot, n * cfg.n_query
-    images = np.empty((n_support + 2 * n_queries, cfg.height, cfg.width, d), np.float32)
+    draws = [(c, False, True) for c in range(n) for _ in range(cfg.k_shot)]
+    draws += [
+        (c, target, False)
+        for target in (False, True) for c in range(n) for _ in range(cfg.n_query)
+    ]
+    images = np.empty((len(draws), cfg.height, cfg.width, d), np.float32)
+    parts = np.tile(layout, (len(draws), 1))
 
-    def build_image(row: int, class_id: int, target: bool, support: bool) -> np.ndarray:
-        """Draws one image into images[row]; returns its part index per cell."""
+    def build_image(row: int, class_id: int, target: bool, support: bool) -> None:
+        """Draws one image into images[row] and marks its decoy cells in parts[row]."""
         jitter = rng.gaussians(p * d).reshape(p, d) * cfg.part_noise
         noise = rng.gaussians(hw * d).reshape(hw, d) * cfg.pixel_noise
         # query corruption level has mean distractor_rate and a fat tail:
@@ -201,8 +204,7 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
         # shots are curated exemplars and stay decoy-free.
         u = rng.uniforms(1)[0]
         rate = 4.0 * cfg.distractor_rate * u**3
-        parts = layout.copy()
-        cells = prototypes[class_id][parts] + jitter[parts] + noise
+        cells = prototypes[class_id][layout] + jitter[layout] + noise
 
         # coherent decoys: whole folded blocks carry one random class's
         # parts in their proper bands, mimicking a look-alike region
@@ -216,7 +218,7 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
                 + span_deviation(m)
                 + noise[block_mask]
             )
-            parts[block_mask] = -1
+            parts[row, block_mask] = -1
         # scattered decoys: lone cells carrying random classes' parts in
         # the wrong bands, bait for matching that ignores spatial layout
         cell_rate = 0.0 if support else rate / 2.0
@@ -229,24 +231,15 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
             cells[cell_mask] = (
                 prototypes[picks, shifted] + span_deviation(m) + noise[cell_mask]
             )
-            parts[cell_mask] = -1
+            parts[row, cell_mask] = -1
 
         if target:
             cells = transform.apply(cells)
         images[row] = cells.reshape(cfg.height, cfg.width, d)
-        return parts
 
-    draws = [(c, False, True) for c in range(n) for _ in range(cfg.k_shot)]
-    draws += [
-        (c, target, False)
-        for target in (False, True) for c in range(n) for _ in range(cfg.n_query)
-    ]
-    cell_parts = [build_image(row, *draw) for row, draw in enumerate(draws)]
+    for row, draw in enumerate(draws):
+        build_image(row, *draw)
     labels = [c for c in range(n) for _ in range(cfg.n_query)]
 
     episode = Episode(images, n, cfg.k_shot, labels, labels)
-    truth = SynthGroundTruth(
-        prototypes, layout, transform, cell_parts[:n_support],
-        cell_parts[n_support:n_support + n_queries], cell_parts[n_support + n_queries:],
-    )
-    return episode, truth
+    return episode, SynthGroundTruth(prototypes, layout, transform, parts)

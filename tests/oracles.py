@@ -1,7 +1,9 @@
 """Test-only reference implementations the fast pipeline paths must match.
 
 singular_values is the plain SVD that cluster-count selection is checked
-against.  kmeans_reference and farthest_first_reference are the direct
+against.  kl_trace_logdet is the trace/log-det form of the Gaussian KL
+that alignment.kl_gaussian computes over a spectrum instead.
+kmeans_reference and farthest_first_reference are the direct
 forms of numkit.kmeans and numkit.farthest_first_init: plain Lloyd, which
 computes every point's distances and builds a fresh one-hot matrix for
 the cluster sums in every iteration, and one difference array per
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from fewshift.numkit import KMeansResult
 from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy, score_set
@@ -55,6 +58,24 @@ def svd_cluster_count(locals_matrix, tau_rel=0.1, k_min=2, k_max=64) -> int:
         return k_min
     count = int((sv >= tau_rel * sv[0]).sum())
     return min(max(count, k_min), k_max)
+
+
+def kl_trace_logdet(mean_a, cov_a, mean_b, cov_b) -> float:
+    """alignment.kl_gaussian in its textbook trace/log-det form.
+
+    1/2 (tr(S_A^-1 S_B) + ln det S_A - ln det S_B + |L_A^-1 delta|^2 - d),
+    with both log-determinants from the Cholesky diagonals.  The float64
+    trace drifts by about cond(S_A) eps, so for a near-singular S_A this
+    form can read below zero where kl_gaussian cannot.
+    """
+    lower_a = np.linalg.cholesky(cov_a)
+    lower_b = np.linalg.cholesky(cov_b)
+    logdet_a = 2.0 * float(np.log(np.diag(lower_a)).sum())
+    logdet_b = 2.0 * float(np.log(np.diag(lower_b)).sum())
+    half = solve_triangular(lower_a, cov_b, lower=True)
+    trace = float(np.trace(solve_triangular(lower_a, half.T, lower=True)))
+    y = solve_triangular(lower_a, np.subtract(mean_a, mean_b), lower=True)
+    return 0.5 * (trace + logdet_a - logdet_b + float(y @ y) - len(y))
 
 
 def _sq_distances(points, centroids):

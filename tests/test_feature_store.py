@@ -220,15 +220,36 @@ class TestManifest:
 
     def test_query_class_coverage_enforced(self, tmp_path):
         manifest = build_manifest(tmp_path)
-        trimmed = EpisodeManifest(
-            n_way=manifest.n_way, k_shot=manifest.k_shot, n_query=manifest.n_query,
-            height=manifest.height, width=manifest.width, channels=manifest.channels,
-            support=manifest.support,
-            query_source=manifest.query_source,
-            query_target=tuple(e for e in manifest.query_target if e.class_index != 2),
+        # class 2's queries relabelled as class 0: the count still matches
+        uncovered = replace(manifest, query_target=tuple(
+            replace(e, class_index=0) if e.class_index == 2 else e
+            for e in manifest.query_target
+        ))
+        with pytest.raises(ManifestError, match="references classes"):
+            uncovered.validate()
+
+    @pytest.mark.parametrize("field", ["query_source", "query_target"])
+    def test_query_count_must_match_n_query(self, tmp_path, field):
+        manifest = build_manifest(tmp_path, n_way=5, n_query=3)
+        short = replace(manifest, **{field: getattr(manifest, field)[:-1]})
+        with pytest.raises(ManifestError, match=f"{field} holds 14 entries, expected 15"):
+            short.validate()
+        with pytest.raises(ManifestError, match="expected 20"):
+            replace(manifest, n_query=4).validate()
+
+    @pytest.mark.parametrize("field, wrong", [
+        ("support", "target"), ("query_source", "target"), ("query_target", "source"),
+    ])
+    def test_entry_domain_must_match_its_list(self, tmp_path, field, wrong):
+        manifest = build_manifest(tmp_path)
+        entries = getattr(manifest, field)
+        mislabelled = replace(
+            manifest, **{field: (replace(entries[0], domain=wrong),) + entries[1:]}
         )
-        with pytest.raises(ManifestError):
-            trimmed.validate()
+        with pytest.raises(ManifestError, match=f"{entries[0].path}.*domain '{wrong}'"):
+            mislabelled.validate()
+        with pytest.raises(ManifestError, match="domain"):
+            load_episode(mislabelled, tmp_path)
 
     def test_malformed_record(self):
         with pytest.raises(ManifestError):

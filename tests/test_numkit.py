@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import (
     KMeansResult,
-    cholesky_logdet,
+    cholesky,
     cosine_matrix,
     farthest_first_init,
     gaussian_moments,
@@ -380,7 +380,7 @@ class TestGaussianMoments:
     def test_ridge_forces_pd(self):
         x = np.tile([1.0, 2.0, 3.0], (10, 1))  # rank deficient
         _, cov = gaussian_moments(x, ridge=1e-4)
-        lower, _ = cholesky_logdet(cov)
+        lower = cholesky(cov)
         assert np.all(np.diag(lower) > 0)
 
     def test_exact_symmetry(self):
@@ -393,26 +393,32 @@ class TestGaussianMoments:
 
 
 class TestCholeskyLogdet:
+    """cholesky, and the log-determinant read off its diagonal."""
+
     def test_diag(self):
-        _, logdet = cholesky_logdet(np.diag([4.0, 9.0]))
+        lower = cholesky(np.diag([4.0, 9.0]))
+        assert np.array_equal(lower, np.diag([2.0, 3.0]))
+        logdet = 2.0 * float(np.log(np.diag(lower)).sum())
         assert logdet == pytest.approx(math.log(36.0), abs=1e-12)
 
     def test_against_spectrum_oracle(self):
         a = np.random.default_rng(8).normal(size=(5, 5))
         sigma = a.T @ a + np.eye(5)
-        lower, logdet = cholesky_logdet(sigma)
+        lower = cholesky(sigma)
         assert np.allclose(lower @ lower.T, sigma, rtol=1e-8)
+        assert np.array_equal(lower, np.tril(lower))
         sv = singular_values(a)
+        logdet = 2.0 * float(np.log(np.diag(lower)).sum())
         assert logdet == pytest.approx(float(np.log(sv**2 + 1.0).sum()), abs=1e-8)
 
     def test_indefinite_names_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as err:
-            cholesky_logdet(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot == 1
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            cholesky_logdet(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestCosineMatrix:

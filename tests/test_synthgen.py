@@ -88,7 +88,7 @@ class TestGenerateEpisode:
         assert len(ep.query_target) == 4 * 5
         assert ep.grid == (8, 8, 48)
         assert truth.prototypes.shape == (4, 2, 48)
-        assert len(truth.query_target_parts) == 20
+        assert truth.parts.shape == (len(ep.images), 64)
 
     def test_zero_noise_nearest_class_mean_perfect(self):
         cfg = SynthConfig(seed=99, shift_strength=0.0, pixel_noise=0.0,
@@ -111,11 +111,22 @@ class TestGenerateEpisode:
             k: v for k, v in SMALL.items() if k != "distractor_rate"})
         ep, truth = generate_episode(cfg)
         layout = truth.layout
-        for parts in truth.query_target_parts:
+        target_parts = truth.parts[len(ep.images) - len(ep.query_target):]
+        for parts in target_parts:
             clean = parts >= 0
             assert np.array_equal(parts[clean], layout[clean])
         # some decoys should exist at this rate
-        assert any((parts < 0).any() for parts in truth.query_target_parts)
+        assert (target_parts < 0).any()
+
+    def test_support_rows_hold_no_decoys(self):
+        # support shots are curated exemplars, even at the highest rate
+        cfg = SynthConfig(seed=13, k_shot=3, distractor_rate=1.0, **{
+            k: v for k, v in SMALL.items() if k != "distractor_rate"})
+        _, truth = generate_episode(cfg)
+        n_support = cfg.n_way * cfg.k_shot
+        assert np.array_equal(truth.parts[:n_support],
+                              np.tile(truth.layout, (n_support, 1)))
+        assert (truth.parts[n_support:] < 0).any()
 
     def test_ground_truth_oracle_upper_bounds_pipeline(self):
         # matched-filter oracle built from generator internals
@@ -145,7 +156,7 @@ class TestGenerateEpisode:
                           height=4, width=4, channels=16, parts_per_class=2)
         ep, truth = generate_episode(cfg)
         cells = np.asarray(ep.query_target[0], float).reshape(-1, 16)
-        parts = truth.query_target_parts[0]
+        parts = truth.parts[len(ep.images) - len(ep.query_target)]
         label = ep.scoring_labels()[0]
         expected = truth.transform.apply(truth.prototypes[label][parts])
         assert np.allclose(cells, expected, atol=1e-5)
