@@ -362,6 +362,9 @@ def evaluate(
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     _keep_freed_heap()
+    # first, so the first call's one-time work (reading the sources for the
+    # digest) is not carved out of the heap the episodes free on the way
+    fingerprint = _fingerprint(cfg, stream.descriptor(), n_tasks)
 
     def one(i: int, history):
         """(report, centroids, failure) for episode i; loading counts too."""
@@ -395,7 +398,7 @@ def evaluate(
         if len(accs) > 1
         else 0.0
     )
-    return RunReport(done, mean, ci, _fingerprint(cfg, stream.descriptor(), n_tasks), failures)
+    return RunReport(done, mean, ci, fingerprint, failures)
 
 
 _M_TRIM_THRESHOLD = -1

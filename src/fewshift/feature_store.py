@@ -44,7 +44,7 @@ VERSION = 1
 MAX_RANK = 4
 
 
-def _checked_write(sink: BinaryIO, data: bytes, offset: int) -> int:
+def _checked_write(sink: BinaryIO, data: bytes | memoryview, offset: int) -> int:
     try:
         sink.write(data)
     except OSError as exc:
@@ -63,7 +63,7 @@ def write_tensor(tensor: np.ndarray, sink: BinaryIO) -> int:
     offset = _checked_write(sink, MAGIC, 0)
     offset = _checked_write(sink, struct.pack("<BB", VERSION, arr.ndim), offset)
     offset = _checked_write(sink, struct.pack(f"<{arr.ndim}I", *arr.shape), offset)
-    offset = _checked_write(sink, arr.tobytes(), offset)
+    offset = _checked_write(sink, memoryview(arr).cast("B"), offset)
     return offset
 
 

@@ -1,4 +1,4 @@
-"""Dense numeric primitives: K-means, moments, Cholesky, cosines.
+"""Dense numeric primitives: K-means, assignment, moments, Cholesky, cosines.
 
 All computation is float64 regardless of the single-precision storage
 format; the KL terms downstream involve matrix inverses and would
@@ -228,6 +228,70 @@ def farthest_first_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarr
         chosen.append(nxt)
         np.minimum(min_d2, sq_dist_to(nxt), out=min_d2)
     return points[chosen].copy()
+
+
+def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
+    """The column assigned to each row of a square cost matrix by a
+    minimum-total one-to-one assignment.
+
+    Shortest augmenting paths on reduced costs (Jonker-Volgenant; Crouse,
+    IEEE TAES 2016).  The row potentials start at the row minima, so every
+    reduced cost is >= 0, and each row whose cheapest column is still free
+    takes it, in row order.  Every other row then runs one Dijkstra search
+    over the columns to the nearest free one and flips the path it found;
+    the potentials absorb the path lengths so the reduced costs stay >= 0
+    and every matched pair stays at reduced cost 0, which makes the final
+    assignment optimal.  A tie for the nearest column prefers a free one,
+    then the lowest index; with tied optima any one of them is returned.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError(f"expected a square cost matrix, got shape {cost.shape}")
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains non-finite entries")
+    n = cost.shape[0]
+    u = cost.min(axis=1)
+    v = np.zeros(n)
+    col_of_row = np.full(n, -1)
+    row_of_col = np.full(n, -1)
+    best = cost.argmin(axis=1)
+    _, first = np.unique(best, return_index=True)  # lowest row per cheapest column
+    col_of_row[first] = best[first]
+    row_of_col[best[first]] = first
+
+    for start in np.flatnonzero(col_of_row < 0):
+        dist = np.full(n, math.inf)   # shortest reduced path length to each column
+        via = np.empty(n, dtype=np.intp)  # row preceding each column on its path
+        done = np.zeros(n, dtype=bool)    # columns whose distance is final
+        visited = []
+        row, reached = start, 0.0
+        while True:
+            step = reached + cost[row] - u[row] - v
+            shorter = (step < dist) & ~done
+            dist[shorter] = step[shorter]
+            via[shorter] = row
+            open_dist = np.where(done, math.inf, dist)
+            reached = open_dist.min()
+            nearest = np.flatnonzero(open_dist == reached)
+            free = nearest[row_of_col[nearest] < 0]
+            col = int(free[0] if free.size else nearest[0])
+            done[col] = True
+            if free.size:
+                break
+            row = row_of_col[col]
+            visited.append(row)
+        # potentials: reduced costs stay >= 0 and the new path is tight
+        u[start] += reached
+        visited = np.array(visited, dtype=np.intp)
+        u[visited] += reached - dist[col_of_row[visited]]
+        v[done] -= reached - dist[done]
+        while True:  # flip the path from col back to start
+            row = via[col]
+            row_of_col[col] = row
+            col_of_row[row], col = col, col_of_row[row]
+            if row == start:
+                break
+    return col_of_row
 
 
 def gaussian_moments(samples: np.ndarray, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:

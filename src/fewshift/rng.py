@@ -5,23 +5,35 @@ that a seed reproduces the identical stream on any platform.  The core
 is counter-based: output i is a fixed 64-bit mix of seed + i * GOLDEN,
 which lets batches be produced with vectorized uint64 arithmetic while
 staying bit-identical to scalar draws.
+
+Batches are computed in place: the mix runs on the counter array with one
+scratch buffer, and the Box-Muller transform writes into its output.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-_TWO53 = float(2**53)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_MANTISSA_SHIFT = np.uint64(11)
+# scales a 53-bit integer into [0, 1); a power of two, so the product is
+# exactly the quotient by 2**53
+_UNIT = 2.0**-53
+_TWO_PI = 2.0 * np.pi
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, applied to the uint64 array z in place."""
+    scratch = np.empty_like(z)
+    for shift, multiplier in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        z *= multiplier
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    return z
 
 
 class SplitMix64:
@@ -33,10 +45,11 @@ class SplitMix64:
 
     def u64(self, n: int) -> np.ndarray:
         """Next n raw 64-bit outputs."""
-        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        z = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
-        with np.errstate(over="ignore"):
-            return _mix(self._seed + idx * np.uint64(_GOLDEN))
+        z *= _GOLDEN
+        z += self._seed
+        return _mix(z)
 
     def next_u64(self) -> int:
         return int(self.u64(1)[0])
@@ -49,22 +62,33 @@ class SplitMix64:
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
-        return (self.u64(n) >> np.uint64(11)).astype(np.float64) / _TWO53
+        return unit_floats(self.u64(n))
 
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller on uniform pairs.
 
         Consumes 2*ceil(n/2) raw outputs; for odd n the trailing sin
-        branch is discarded, so draw sizes are part of the recipe.
+        branch is discarded, so draw sizes are part of the recipe.  The
+        first half of the output holds r cos(theta), the second r sin(theta).
         """
         pairs = (n + 1) // 2
         raw = self.u64(2 * pairs)
+        raw >>= _MANTISSA_SHIFT
+        out = np.empty(2 * pairs)
+        r, theta = out[:pairs], out[pairs:]
         # u1 in (0, 1] so the log is finite
-        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
-        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) / _TWO53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+        np.add(raw[:pairs], 1.0, out=r)
+        r *= _UNIT
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        np.multiply(raw[pairs:], _UNIT, out=theta)
+        theta *= _TWO_PI
+        # the raw words are spent; their first half holds cos(theta)
+        cos = np.cos(theta, out=raw[:pairs].view(np.float64))
+        np.sin(theta, out=theta)
+        theta *= r
+        r *= cos
         return out[:n]
 
     def unit_vectors(self, n: int, dim: int) -> np.ndarray:
@@ -73,6 +97,13 @@ class SplitMix64:
         norms = np.linalg.norm(v, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0
         return v / norms
+
+
+def unit_floats(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from raw outputs, one per word: the top 53 bits
+    scaled by 2**-53.  raw is overwritten."""
+    raw >>= _MANTISSA_SHIFT
+    return np.multiply(raw, _UNIT)
 
 
 def derive_seed(base: int, index: int) -> int:

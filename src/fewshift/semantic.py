@@ -15,12 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .numkit import (
     cosine_matrix,
     farthest_first_init,
     kmeans,
+    min_cost_assignment,
     softmax,
     unit_rows,
 )
@@ -116,9 +116,8 @@ def _merge_match_average(c_support: np.ndarray, c_query: np.ndarray) -> np.ndarr
     directions; a near-cancelling pair falls back to the support row.
     """
     cos = cosine_matrix(c_support, c_query)
-    rows, cols = linear_sum_assignment(-cos)
     merged = np.empty_like(c_support)
-    for i, j in zip(rows, cols):
+    for i, j in enumerate(min_cost_assignment(-cos)):
         avg = (c_support[i] + c_query[j]) / 2.0
         target_norm = (np.linalg.norm(c_support[i]) + np.linalg.norm(c_query[j])) / 2.0
         norm = np.linalg.norm(avg)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .feature_store import Episode
-from .rng import SplitMix64
+from .rng import SplitMix64, unit_floats
 
 _TRANSFORM_REDRAWS = 32
 _MAX_CONDITION = 1e3
@@ -194,27 +194,34 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
     ]
     images = np.empty((len(draws), cfg.height, cfg.width, d), np.float32)
     parts = np.tile(layout, (len(draws), 1))
+    class_cells = prototypes[:, layout]  # (n_way, h*w, d)
 
     def build_image(row: int, class_id: int, target: bool, support: bool) -> None:
         """Draws one image into images[row] and marks its decoy cells in parts[row]."""
-        jitter = rng.gaussians(p * d).reshape(p, d) * cfg.part_noise
-        noise = rng.gaussians(hw * d).reshape(hw, d) * cfg.pixel_noise
+        jitter = rng.gaussians(p * d).reshape(p, d)
+        jitter *= cfg.part_noise
+        noise = rng.gaussians(hw * d).reshape(hw, d)
+        noise *= cfg.pixel_noise
+        # one draw holds, in stream order, the corruption uniform u, the
+        # impostor class and one uniform per folded block
+        head = rng.u64(2 + n_blocks)
+        impostor = int(head[1]) % n
+        uniforms = unit_floats(head)
         # query corruption level has mean distractor_rate and a fat tail:
         # most images are nearly clean, a few heavily corrupted.  Support
         # shots are curated exemplars and stay decoy-free.
-        u = rng.uniforms(1)[0]
-        rate = 4.0 * cfg.distractor_rate * u**3
-        cells = prototypes[class_id][layout] + jitter[layout] + noise
+        rate = 4.0 * cfg.distractor_rate * uniforms[0] ** 3
+        cells = class_cells[class_id] + jitter[layout]
+        cells += noise
 
         # coherent decoys: whole folded blocks carry one random class's
         # parts in their proper bands, mimicking a look-alike region
-        impostor = rng.randint(n)
         block_rate = 0.0 if support else rate / 2.0
-        block_mask = (rng.uniforms(n_blocks) < block_rate)[block_of_cell]
+        block_mask = (uniforms[2:] < block_rate)[block_of_cell]
         if block_mask.any():
             m = int(block_mask.sum())
             cells[block_mask] = (
-                prototypes[impostor, layout[block_mask]]
+                class_cells[impostor, block_mask]
                 + span_deviation(m)
                 + noise[block_mask]
             )

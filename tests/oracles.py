@@ -9,6 +9,10 @@ computes every point's distances and builds a fresh one-hot matrix for
 the cluster sums in every iteration, and one difference array per
 farthest-first step.
 
+SplitMix64Reference keeps rng.SplitMix64's u64, uniforms and gaussians
+in their plain expression form, one temporary array per step, which the
+in-place versions must match bit for bit.
+
 similarity_matrix and similarity_pattern are the reference path of
 pattern scoring: they compute every entry with the same elementary
 operations a naive loop would use (per-pair dot and 1-D norms), over
@@ -156,6 +160,42 @@ def farthest_first_reference(points, k, rng) -> list[int]:
         chosen.append(nxt)
         min_d2 = np.minimum(min_d2, ((points - points[nxt]) ** 2).sum(axis=1))
     return chosen
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_TWO53 = float(2**53)
+
+
+class SplitMix64Reference:
+    """rng.SplitMix64 from any counter, in plain expression form."""
+
+    def __init__(self, seed: int, count: int = 0):
+        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._count = count
+
+    def u64(self, n: int) -> np.ndarray:
+        idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
+        self._count += n
+        with np.errstate(over="ignore"):
+            z = self._seed + idx * np.uint64(_GOLDEN)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            return z ^ (z >> np.uint64(31))
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return (self.u64(n) >> np.uint64(11)).astype(np.float64) / _TWO53
+
+    def gaussians(self, n: int) -> np.ndarray:
+        pairs = (n + 1) // 2
+        raw = self.u64(2 * pairs)
+        u1 = ((raw[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) / _TWO53
+        u2 = (raw[pairs:] >> np.uint64(11)).astype(np.float64) / _TWO53
+        r = np.sqrt(-2.0 * np.log(u1))
+        theta = 2.0 * np.pi * u2
+        out = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+        return out[:n]
 
 
 @dataclass(eq=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import (
@@ -17,6 +18,7 @@ from fewshift.numkit import (
     gaussian_moments,
     kmeans,
     log_softmax,
+    min_cost_assignment,
     softmax,
 )
 from fewshift.rng import SplitMix64
@@ -353,6 +355,43 @@ def test_inertia_never_rises_across_iteration_budgets(seed, n, d, k, clusters, s
     init = farthest_first_init(pts, k, SplitMix64(seed))
     res = assert_inertia_never_rises(pts, k, init)
     assert res.inertia >= 0.0
+
+
+def assignment_total(cost, cols):
+    return float(cost[np.arange(len(cols)), cols].sum())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 64),
+       kind=st.sampled_from(["normal", "negated_cosine"]))
+def test_assignment_matches_scipy_on_continuous_costs(seed, k, kind):
+    # continuous draws have a unique optimum, so the permutation must agree
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        cost = rng.normal(size=(k, k)) * rng.uniform(0.01, 100.0)
+    else:  # the merge step's input: centroid sets of two nearby clusterings
+        c_support = rng.normal(size=(k, 16))
+        cost = -cosine_matrix(c_support, c_support + 0.5 * rng.normal(size=(k, 16)))
+    cols = min_cost_assignment(cost)
+    _, expected = linear_sum_assignment(cost)
+    assert abs(assignment_total(cost, cols) - assignment_total(cost, expected)) <= 1e-12
+    assert np.array_equal(cols, expected)
+
+
+def test_assignment_with_tied_optima_reaches_the_optimal_total():
+    # integer costs in {0, 1, 2}: many permutations share the optimal total
+    cost = np.random.default_rng(5).integers(0, 3, size=(24, 24)).astype(np.float64)
+    cols = min_cost_assignment(cost)
+    _, expected = linear_sum_assignment(cost)
+    assert sorted(cols) == list(range(24))
+    assert assignment_total(cost, cols) == assignment_total(cost, expected)
+
+
+def test_assignment_rejects_bad_costs():
+    with pytest.raises(ValueError):
+        min_cost_assignment(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        min_cost_assignment(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
 class TestGaussianMoments:
