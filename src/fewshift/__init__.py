@@ -25,6 +25,7 @@ from .feature_store import (
     load_episode,
     read_tensor,
     read_tensor_file,
+    save_episode,
     write_tensor,
     write_tensor_file,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "read_tensor",
     "read_tensor_file",
     "run_episode",
+    "save_episode",
     "write_tensor",
     "write_tensor_file",
 ]

@@ -82,7 +82,9 @@ def sfa_loss(query_source: np.ndarray, query_target: np.ndarray) -> float:
     fits = []
     for features in (query_source, query_target):
         features = np.asarray(features, dtype=np.float64)
-        fits += gaussian_moments(features.reshape(-1, features.shape[-1]), RIDGE)
+        mu, cov = gaussian_moments(features.reshape(-1, features.shape[-1]))
+        cov[np.diag_indices_from(cov)] += RIDGE
+        fits += mu, cov
     return kl_gaussian(*fits)
 
 

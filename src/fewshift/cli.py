@@ -27,7 +27,7 @@ from .engine import (
     run_episode,
 )
 from .errors import ConfigError
-from .feature_store import EpisodeManifest, ManifestEntry, write_tensor_file
+from .feature_store import save_episode, write_tensor_file
 from .synthgen import SynthConfig
 
 DUMP_STAGES = ("centroids", "semantic", "patterns", "scores")
@@ -57,36 +57,6 @@ def _manifest_paths(episodes_dir: str) -> list[Path]:
     return paths
 
 
-def _write_episode(episode, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_way, k_shot = episode.n_way, episode.k_shot
-    n_support = n_way * k_shot
-    n_source = len(episode.images) - len(episode.query_target)
-    names = [f"support_c{c}_s{j}.ftns" for c in range(n_way) for j in range(k_shot)]
-    names += [f"query_source_{i:03d}.ftns" for i in range(n_source - n_support)]
-    names += [f"query_target_{i:03d}.ftns" for i in range(len(episode.query_target))]
-    labels = [c for c in range(n_way) for _ in range(k_shot)]
-    labels += [*episode.query_source_labels, *episode.scoring_labels()]
-    domains = ["source"] * n_source + ["target"] * len(episode.query_target)
-    entries = []
-    for name, image, label, domain in zip(names, episode.images, labels, domains, strict=True):
-        write_tensor_file(image, out_dir / name)
-        entries.append(ManifestEntry(name, label, domain))
-    h, w, d = episode.grid
-    manifest = EpisodeManifest(
-        n_way=n_way,
-        k_shot=k_shot,
-        n_query=(n_source - n_support) // n_way,
-        height=h,
-        width=w,
-        channels=d,
-        support=tuple(entries[:n_support]),
-        query_source=tuple(entries[n_support:n_source]),
-        query_target=tuple(entries[n_source:]),
-    )
-    manifest.save(out_dir / "manifest.json")
-
-
 def cmd_gen(args) -> int:
     base, episodes = _load_synth_config(args.config, args.seed)
     out = Path(args.out)
@@ -94,7 +64,7 @@ def cmd_gen(args) -> int:
     stream = SyntheticTaskStream(base)
     for i in range(episodes):
         _, episode = stream.episode(i)
-        _write_episode(episode, out / f"episode_{i:03d}")
+        save_episode(episode, out / f"episode_{i:03d}")
     print(f"wrote {episodes} episodes under {out} (base seed {base.seed})")
     return 0
 
@@ -127,11 +97,10 @@ def cmd_eval(args) -> int:
     if args.synth:
         base, episodes = _load_synth_config(args.synth, args.seed)
         stream = SyntheticTaskStream(base)
-        n_tasks = args.tasks or episodes
     else:
         stream = ManifestTaskStream(_manifest_paths(args.episodes))
-        n_tasks = args.tasks or len(stream)
-    report = evaluate(stream, n_tasks, cfg, threads=args.threads)
+        episodes = len(stream)
+    report = evaluate(stream, args.tasks or episodes, cfg, threads=args.threads)
     out = Path(args.out)
     out.write_text(report.to_csv())
     summary = report.summary_text() + f"feature_mode: {cfg.feature_mode}\n"
@@ -190,18 +159,17 @@ def cmd_dump(args) -> int:
         if emb.centroids is None:
             print("raw_local mode has no centroids", file=sys.stderr)
             return 2
-        write_tensor_file(emb.centroids.centroids.astype(np.float32), out / "centroids.ftns")
-        print(f"wrote centroids.ftns (k={emb.centroids.k})")
+        write_tensor_file(emb.centroids.astype(np.float32), out / "centroids.ftns")
+        print(f"wrote centroids.ftns (k={emb.k})")
         return 0
     if args.stage == "semantic":
         h, w, _ = episode.grid
         if cfg.feature_mode == "semantic":
             h, w = h // 2, w // 2  # the quadrant fold halves the grid
-        names = [
-            f"s{c}_{j}" for c, rows in enumerate(emb.support_rows) for j in range(len(rows))
-        ]
-        names += [f"qs{i}" for i in range(len(emb.qs_rows))]
-        names += [f"qt{i}" for i in range(len(emb.qt_rows))]
+        names = [f"s{c}_{j}" for c, rows in enumerate(episode.support_rows)
+                 for j in range(len(rows))]
+        names += [f"qs{i}" for i in range(len(episode.qs_rows))]
+        names += [f"qt{i}" for i in range(len(episode.qt_rows))]
         for name, embedded in zip(names, emb.stack, strict=True):
             grid = embedded.reshape(h, w, -1)
             write_tensor_file(grid.astype(np.float32), out / f"semantic_{name}.ftns")
@@ -210,8 +178,8 @@ def cmd_dump(args) -> int:
 
     from .patterns import PooledBlocks, score_set
 
-    for prefix, rows in (("qs", emb.qs_rows), ("qt", emb.qt_rows)):
-        table = score_set(PooledBlocks(emb.stack, rows), emb.support_rows)
+    for prefix, rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
+        table = score_set(PooledBlocks(emb.stack, rows), episode.support_rows)
         for q in range(len(rows)):
             if args.stage == "scores":
                 write_tensor_file(
@@ -223,7 +191,7 @@ def cmd_dump(args) -> int:
                 write_tensor_file(
                     stacked.astype(np.float32), out / f"patterns_{prefix}{q}.ftns"
                 )
-    print(f"wrote {args.stage} for {len(emb.qs_rows) + len(emb.qt_rows)} queries")
+    print(f"wrote {args.stage} for {len(episode.qs_rows) + len(episode.qt_rows)} queries")
     return 0
 
 
@@ -263,14 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--episodes", help="directory of generated episodes")
     src.add_argument("--synth", help="path to a generator config")
     p_eval.add_argument("--pipeline")
-    p_eval.add_argument("--tasks", type=int, default=0)
+    p_eval.add_argument("--tasks", type=_positive_int, help="episodes to run (default: all)")
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_eval)
 
     p_abl = sub.add_parser("ablate", help="paired toggle grid over one episode stream")
     p_abl.add_argument("--synth", required=True)
     p_abl.add_argument("--pipeline")
-    p_abl.add_argument("--tasks", type=int, default=0)
+    p_abl.add_argument("--tasks", type=_positive_int, help="episodes per row (default: all)")
     p_abl.add_argument(
         "--grid", default="tse,cs,tse+catt,tse+cs,tse+catt+cs",
         help="comma-separated variants, toggles joined by '+'",

@@ -124,24 +124,21 @@ class ForwardResult:
     rounds: int
     confident_per_class: list[int]
     spa_skipped: int
-    centroids: semantic.SemanticCentroids | None
+    centroids: np.ndarray | None
 
 
 class EpisodeEmbedding(NamedTuple):
-    """Every image of an episode embedded in one stack, with its rows."""
+    """An episode's images embedded in one stack, row for row of episode.images."""
 
     stack: np.ndarray               # (n, positions, channels)
-    support_rows: list[np.ndarray]  # per class, in class order
-    qs_rows: np.ndarray             # source queries
-    qt_rows: np.ndarray             # target queries
     k: int                          # 0 for raw locals
-    centroids: semantic.SemanticCentroids | None
+    centroids: np.ndarray | None    # (k, d), None for raw locals
 
 
 def embed_episode(
     episode: Episode,
     cfg: PipelineConfig,
-    history: semantic.SemanticCentroids | None = None,
+    history: np.ndarray | None = None,
 ) -> EpisodeEmbedding:
     """Embed every image into one stack, row for row of episode.images.
 
@@ -151,8 +148,6 @@ def embed_episode(
     """
     h, w, d = episode.grid
     raw = episode.images.astype(np.float64)  # (n, h, w, d)
-    n_support = episode.n_way * episode.k_shot
-    n_source = n_support + len(episode.query_source_labels)
 
     if cfg.feature_mode == "raw_local":
         stack, k, cents = raw.reshape(len(raw), h * w, d), 0, None
@@ -160,21 +155,16 @@ def embed_episode(
         all_locals = raw.reshape(-1, d)
         k = semantic.select_cluster_count(all_locals, k_max=min(d // 2, 64))
         warm = history if cfg.use_catt else None
-        split = n_source * h * w
+        split = (len(raw) - len(episode.qt_rows)) * h * w  # source side, then target
         cents = semantic.cluster_task(all_locals[:split], all_locals[split:], k, warm)
         stack = semantic.block_split_concat(semantic.semantic_map(raw, cents))
-
-    support_rows = list(np.arange(n_support).reshape(episode.n_way, episode.k_shot))
-    return EpisodeEmbedding(
-        stack, support_rows, np.arange(n_support, n_source),
-        np.arange(n_source, len(raw)), k, cents,
-    )
+    return EpisodeEmbedding(stack, k, cents)
 
 
 def forward_episode(
     episode: Episode,
     cfg: PipelineConfig,
-    history: semantic.SemanticCentroids | None = None,
+    history: np.ndarray | None = None,
 ) -> ForwardResult:
     """Label-blind pass: embeddings, losses, and target predictions.
 
@@ -188,14 +178,14 @@ def forward_episode(
     # the source-query cache is dropped after one table; only its patterns
     # are needed later
     qs_table = patterns.score_set(
-        patterns.PooledBlocks(emb.stack, emb.qs_rows), emb.support_rows
+        patterns.PooledBlocks(emb.stack, episode.qs_rows), episode.support_rows
     )
     l_cls = patterns.cross_entropy(qs_table.scores, episode.query_source_labels)
 
-    qt_blocks = patterns.PooledBlocks(emb.stack, emb.qt_rows)
-    qt_table = patterns.score_set(qt_blocks, emb.support_rows)
+    qt_blocks = patterns.PooledBlocks(emb.stack, episode.qt_rows)
+    qt_table = patterns.score_set(qt_blocks, episode.support_rows)
     if cfg.self_training:
-        result = selftrain.promote_and_reclassify(qt_blocks, emb.support_rows)
+        result = selftrain.promote_and_reclassify(qt_blocks, episode.support_rows)
         rounds = result.rounds_used
         confident = [len(ids) for ids in result.confident]
         final_table = result.table
@@ -207,8 +197,8 @@ def forward_episode(
     # the final table scores the target queries against the final prototypes
     l_clm = selftrain.class_matching_loss(final_table)
     l_sfa = alignment.sfa_loss(
-        patterns.take_rows(emb.stack, emb.qs_rows),
-        patterns.take_rows(emb.stack, emb.qt_rows),
+        patterns.take_rows(emb.stack, episode.qs_rows),
+        patterns.take_rows(emb.stack, episode.qt_rows),
     )
 
     # pattern alignment uses the support-based (round-0) patterns on both
@@ -223,9 +213,9 @@ def forward_episode(
 def run_episode(
     episode: Episode,
     cfg: PipelineConfig,
-    history: semantic.SemanticCentroids | None = None,
+    history: np.ndarray | None = None,
     episode_id: str = "0",
-) -> tuple[EpisodeReport, semantic.SemanticCentroids | None]:
+) -> tuple[EpisodeReport, np.ndarray | None]:
     """Forward pass plus scoring; returns the report and the centroids
     the next task may warm-start from."""
     start = time.perf_counter()

@@ -1,4 +1,4 @@
-"""On-disk tensor container, episode manifests, and episode loading.
+"""On-disk tensor container, episode manifests, and episode loading and saving.
 
 Tensor container layout (all little-endian):
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -94,7 +95,7 @@ def read_tensor(source: BinaryIO) -> np.ndarray:
     dims = struct.unpack(f"<{rank}I", dim_bytes)
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{where}zero dimension in {dims}")
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # a Python int: np.prod wraps around in int64
     size = 4 * count
     if source.seekable():  # a corrupt header must not size the buffer
         start = source.tell()
@@ -149,12 +150,13 @@ def _confined(path: str) -> bool:
 class EpisodeManifest:
     """Declares one episode: support shots plus both query sets.
 
-    Invariants checked by validate(): every entry path stays inside the
-    episode directory, every entry's domain is "source" in support and
-    query_source and "target" in query_target, support holds exactly
-    n_way*k_shot entries with k_shot per class, and both query sets hold
-    n_way*n_query entries that reference exactly the classes 0..n_way-1.
-    load_episode checks that all tensors share the declared (h, w, d).
+    Invariants checked by validate(): every entry path is a string that
+    stays inside the episode directory, every entry's domain is "source"
+    in support and query_source and "target" in query_target, support
+    holds exactly n_way*k_shot entries with k_shot per class, both query
+    sets hold n_way*n_query entries that reference exactly the classes
+    0..n_way-1, and every count and dim is >= 1.  load_episode checks
+    that all tensors share the declared (h, w, d).
     """
 
     n_way: int
@@ -173,6 +175,8 @@ class EpisodeManifest:
                 ("query_target", self.query_target, "target"))
         for name, entries, domain in sets:
             for entry in entries:
+                if not isinstance(entry.path, str):
+                    raise ManifestError(f"{name} entry path {entry.path!r} is not a string")
                 if not _confined(entry.path):
                     raise ManifestError(
                         f"entry path {entry.path!r} leaves the episode directory"
@@ -182,8 +186,11 @@ class EpisodeManifest:
                         f"{name} entry {entry.path!r} has domain {entry.domain!r}, "
                         f"expected {domain!r}"
                     )
-        if self.n_way < 1 or self.k_shot < 1 or self.n_query < 1:
-            raise ManifestError("n_way, k_shot, n_query must all be >= 1")
+        sizes = (("n_way", self.n_way), ("k_shot", self.k_shot), ("n_query", self.n_query),
+                 ("dims h", self.height), ("dims w", self.width), ("dims d", self.channels))
+        for field, value in sizes:
+            if value < 1:
+                raise ManifestError(f"{field} must be >= 1, got {value}")
         if len(self.support) != self.n_way * self.k_shot:
             raise ManifestError(
                 f"support holds {len(self.support)} entries, "
@@ -265,8 +272,9 @@ class Episode:
     """One task as one (n, h, w, d) float32 image stack.
 
     The rows hold the support shots class by class, k_shot per class,
-    then the source queries, then the target queries; support (per class),
-    query_source and query_target are views of those runs.  Target labels
+    then the source queries, then the target queries.  support_rows (one
+    index array per class), qs_rows and qt_rows index those runs, which
+    support (per class), query_source and query_target view.  Target labels
     are deliberately not a public attribute; the pipeline must classify
     blind and only scoring code may call scoring_labels().
     """
@@ -291,6 +299,9 @@ class Episode:
             )
         self.n_way = n_way
         self.k_shot = k_shot
+        self.support_rows = list(np.arange(n_support).reshape(n_way, k_shot))
+        self.qs_rows = np.arange(n_support, n_source)
+        self.qt_rows = np.arange(n_source, len(self.images))
         self.support = list(
             self.images[:n_support].reshape(n_way, k_shot, *self.images.shape[1:])
         )
@@ -309,7 +320,7 @@ class Episode:
 
     def content_hash(self) -> str:
         """Digest of every tensor payload and label, for pairing checks."""
-        h = hashlib.sha256(self.images[: len(self.images) - len(self.query_target)])
+        h = hashlib.sha256(self.images[: len(self.images) - len(self.qt_rows)])
         h.update(np.asarray(self.query_source_labels, dtype="<i4"))
         h.update(self.query_target)
         h.update(np.asarray(self._quarantined_labels, dtype="<i4"))
@@ -344,3 +355,32 @@ def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
         [e.class_index for e in manifest.query_source],
         [e.class_index for e in manifest.query_target],
     )
+
+
+def save_episode(episode: Episode, out_dir: str | Path) -> Path:
+    """Inverse of load_episode: one tensor file per image plus manifest.json
+    in out_dir, which is created if missing.  Returns the manifest's path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    shots = [(c, j) for c in range(episode.n_way) for j in range(episode.k_shot)]
+    names = [f"support_c{c}_s{j}.ftns" for c, j in shots]
+    names += [f"query_source_{i:03d}.ftns" for i in range(len(episode.qs_rows))]
+    names += [f"query_target_{i:03d}.ftns" for i in range(len(episode.qt_rows))]
+    labels = [c for c, _ in shots]
+    labels += [*episode.query_source_labels, *episode.scoring_labels()]
+    for name, image in zip(names, episode.images, strict=True):
+        write_tensor_file(image, out / name)
+
+    def entries(rows, domain):
+        return tuple(ManifestEntry(names[r], int(labels[r]), domain) for r in rows)
+
+    h, w, d = episode.grid
+    manifest = EpisodeManifest(
+        n_way=episode.n_way, k_shot=episode.k_shot,
+        n_query=len(episode.qs_rows) // episode.n_way, height=h, width=w, channels=d,
+        support=entries(np.concatenate(episode.support_rows), "source"),
+        query_source=entries(episode.qs_rows, "source"),
+        query_target=entries(episode.qt_rows, "target"),
+    )
+    manifest.save(out / "manifest.json")
+    return out / "manifest.json"

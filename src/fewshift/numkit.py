@@ -294,23 +294,17 @@ def min_cost_assignment(cost: np.ndarray) -> np.ndarray:
     return col_of_row
 
 
-def gaussian_moments(samples: np.ndarray, ridge: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Column mean and unbiased covariance with ridge on the diagonal.
-
-    The covariance is symmetrized explicitly before the ridge is added,
-    so the result is exactly symmetric and positive definite for ridge > 0.
-    """
+def gaussian_moments(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column mean and unbiased covariance, symmetrized explicitly so the
+    result is exactly symmetric."""
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if n < 2:
         raise ValueError("need at least 2 samples for a covariance")
-    if ridge < 0:
-        raise ValueError("ridge must be non-negative")
     mu = samples.mean(axis=0)
     centered = samples - mu
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0
-    cov[np.diag_indices_from(cov)] += ridge
     return mu, cov
 
 

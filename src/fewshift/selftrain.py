@@ -27,10 +27,6 @@ class SelfTrainResult:
     table: ScoreTable             # queries scored against the final prototypes
 
     @property
-    def predictions(self) -> np.ndarray:
-        return self.table.predictions
-
-    @property
     def confident_count(self) -> int:
         return sum(len(ids) for ids in self.confident)
 

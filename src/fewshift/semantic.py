@@ -12,7 +12,6 @@ channel axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,25 +28,6 @@ from .rng import SplitMix64
 # fixed seed for farthest-first initialization: clustering must be
 # reproducible without threading an RNG through the whole pipeline
 _INIT_SEED = 0x5EED_C1A5
-
-
-@dataclass
-class SemanticCentroids:
-    """Cluster centroids a task projects its local features onto."""
-
-    centroids: np.ndarray  # (k, d)
-
-    def __post_init__(self):
-        self.centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.centroids.ndim != 2 or self.centroids.shape[0] < 2:
-            raise ValueError("need at least 2 centroid rows")
-        norms = np.linalg.norm(self.centroids, axis=1)
-        if (norms == 0.0).any():
-            raise ValueError("centroid rows must be non-zero")
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
 
 
 def select_cluster_count(
@@ -91,16 +71,13 @@ def select_cluster_count(
     return min(max(count, k_min), k_max)
 
 
-def fuse_centroids(c_init: np.ndarray, c_prev: np.ndarray | None) -> np.ndarray:
+def fuse_centroids(c_init: np.ndarray, c_prev: np.ndarray) -> np.ndarray:
     """Cross-attend a fresh initialization to the previous task's centroids.
 
     A = softmax_rows(C_init C_prev^T / sqrt(d)); the output is the
-    row-normalized C_init + A C_prev.  An empty history returns C_init
-    unchanged.
+    row-normalized C_init + A C_prev.
     """
     c_init = np.asarray(c_init, dtype=np.float64)
-    if c_prev is None or len(c_prev) == 0:
-        return c_init.copy()
     c_prev = np.asarray(c_prev, dtype=np.float64)
     d = c_init.shape[1]
     logits = c_init @ c_prev.T / math.sqrt(d)
@@ -132,44 +109,47 @@ def cluster_task(
     support_locals: np.ndarray,
     query_locals: np.ndarray,
     k: int,
-    warm: SemanticCentroids | None = None,
-) -> SemanticCentroids:
+    warm: np.ndarray | None = None,
+) -> np.ndarray:
     """Cluster the two local-feature pools separately and merge.
 
     Each side runs K-means from a farthest-first initialization (fused
-    with the warm centroids, when given); the two k-centroid sets are
-    paired one-to-one by cosine and averaged into the task centroids.
+    with the warm (k, d) centroids, when given); the two k-centroid sets
+    are paired one-to-one by cosine and averaged into the task centroids,
+    a (k, d) float64 array with k >= 2 and no zero row.
     """
     support_locals = np.asarray(support_locals, dtype=np.float64)
     query_locals = np.asarray(query_locals, dtype=np.float64)
+    if k < 2:
+        raise ValueError("need at least 2 centroid rows")
     if support_locals.shape[0] < k or query_locals.shape[0] < k:
         raise ValueError(f"both local pools need at least k={k} rows")
 
     def side(points: np.ndarray) -> np.ndarray:
         init = farthest_first_init(points, k, SplitMix64(_INIT_SEED))
         if warm is not None:
-            init = fuse_centroids(init, warm.centroids)
+            init = fuse_centroids(init, warm)
         return kmeans(points, k, init).centroids
 
     merged = _merge_match_average(side(support_locals), side(query_locals))
-    return SemanticCentroids(merged)
+    if (np.linalg.norm(merged, axis=1) == 0.0).any():
+        raise ValueError("centroid rows must be non-zero")
+    return merged
 
 
-def semantic_map(images: np.ndarray, centroids: SemanticCentroids) -> np.ndarray:
+def semantic_map(images: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Per-position cosine of each local vector against each centroid.
 
-    images is one (h, w, d) image or a stack (n, h, w, d); the output
-    keeps the leading axes with the centroids as the last one.  A stack
-    costs one matrix product.
+    images is one (h, w, d) image or a stack (n, h, w, d) and centroids a
+    (k, d) array; the output keeps the leading axes with the centroids as
+    the last one.  A stack costs one matrix product.
     """
     images = np.asarray(images, dtype=np.float64)
-    d = images.shape[-1]
-    if d != centroids.centroids.shape[1]:
-        raise ValueError(
-            f"local dim {d} does not match centroid dim {centroids.centroids.shape[1]}"
-        )
-    cos = cosine_matrix(images.reshape(-1, d), centroids.centroids)
-    return cos.reshape(*images.shape[:-1], centroids.k)
+    k, d = np.shape(centroids)
+    if images.shape[-1] != d:
+        raise ValueError(f"local dim {images.shape[-1]} does not match centroid dim {d}")
+    cos = cosine_matrix(images.reshape(-1, d), centroids)
+    return cos.reshape(*images.shape[:-1], k)
 
 
 def block_split_concat(cosine_grid: np.ndarray) -> np.ndarray:
@@ -180,14 +160,10 @@ def block_split_concat(cosine_grid: np.ndarray) -> np.ndarray:
     bottom-left, bottom-right quadrant values, in that order, giving 4k
     channels.  The mapping is a bijection on the values.
 
-    One (h, w, k) grid folds to (h/2 * w/2, 4k) rows, row-major over the
-    folded grid; a stack (n, h, w, k) folds in one pass to
-    (n, h/2 * w/2, 4k).
+    A stack (n, h, w, k) folds in one pass to (n, h/2 * w/2, 4k), each
+    image's rows row-major over its folded grid.
     """
     grids = np.asarray(cosine_grid, dtype=np.float64)
-    single = grids.ndim == 3
-    if single:
-        grids = grids[None]
     n, h, w, k = grids.shape
     if h % 2 or w % 2:
         raise ValueError(f"grid must have even height and width, got {h}x{w}")
@@ -195,5 +171,4 @@ def block_split_concat(cosine_grid: np.ndarray) -> np.ndarray:
     # axes (image, row half, row, column half, column, k): moving the two
     # halves next to k makes the channel blocks TL, TR, BL, BR
     quads = grids.reshape(n, 2, h2, 2, w2, k).transpose(0, 2, 4, 1, 3, 5)
-    folded = quads.reshape(n, h2 * w2, 4 * k)
-    return folded[0] if single else folded
+    return quads.reshape(n, h2 * w2, 4 * k)

@@ -125,17 +125,21 @@ def make_transform(seed: int, gamma: float, dim: int) -> DomainTransform:
     raise RuntimeError("could not draw a well-conditioned domain transform")
 
 
+def _quadrant_cells(height: int, width: int) -> tuple[np.ndarray, int]:
+    """Each cell's row-major position inside its quadrant, and the position count."""
+    q_h, q_w = max(height // 2, 1), max(width // 2, 1)
+    rows, cols = np.divmod(np.arange(height * width), width)
+    return (rows % q_h) * q_w + (cols % q_w), q_h * q_w
+
+
 def quadrant_band_layout(height: int, width: int, parts: int) -> np.ndarray:
     """Part index per cell: bands inside a quadrant, repeated per quadrant.
 
-    With the 2x2 quadrant fold downstream, the four cells of a folded
-    position then share one part, so classes differ by coherent regions
-    rather than isolated cells.
+    The four cells of a folded position then share one part, so classes
+    differ by coherent regions rather than isolated cells.
     """
-    q_h, q_w = max(height // 2, 1), max(width // 2, 1)
-    rows, cols = np.divmod(np.arange(height * width), width)
-    within = (rows % q_h) * q_w + (cols % q_w)
-    return (within * parts) // (q_h * q_w)
+    within, n_blocks = _quadrant_cells(height, width)
+    return (within * parts) // n_blocks
 
 
 @dataclass(frozen=True)
@@ -172,13 +176,8 @@ def generate_episode(cfg: SynthConfig) -> tuple[Episode, SynthGroundTruth]:
     prototypes = PART_SCALE * directions[dealt.reshape(-1)].reshape(n, p, d)
     layout = quadrant_band_layout(cfg.height, cfg.width, p)
     flat_prototypes = prototypes.reshape(n * p, d)
-
-    rows, cols = np.divmod(np.arange(hw), cfg.width)
-    q_h, q_w = max(cfg.height // 2, 1), max(cfg.width // 2, 1)
-    # cells sharing a within-quadrant position collapse into one folded
-    # block downstream; coherent decoys corrupt such groups together
-    block_of_cell = (rows % q_h) * q_w + (cols % q_w)
-    n_blocks = q_h * q_w
+    # coherent decoys corrupt the cells of one folded block together
+    block_of_cell, n_blocks = _quadrant_cells(cfg.height, cfg.width)
 
     def span_deviation(m: int) -> np.ndarray:
         # decoy deviations stay inside the prototype span so decoy cells

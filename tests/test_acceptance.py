@@ -206,7 +206,7 @@ def ablation_suite():
         full_cfg = config_for_toggles(base_cfg, VARIANTS["full"])
         emb = embed_episode(episode, full_cfg, None)
         result = promote_and_reclassify(
-            PooledBlocks(emb.stack, emb.qt_rows), emb.support_rows,
+            PooledBlocks(emb.stack, episode.qt_rows), episode.support_rows,
         )
         labels = episode.scoring_labels()
         for c, ids in enumerate(result.confident):
@@ -299,7 +299,7 @@ def test_criterion_7_invariant_suite():
 
     # block-split bijection
     grid = rng.normal(size=(6, 6, 4))
-    fmap = block_split_concat(grid)
+    fmap = block_split_concat(grid[None])[0]
     folded = fmap.reshape(3, 3, 16)
     rebuilt = np.empty_like(grid)
     rebuilt[:3, :3] = folded[:, :, 0:4]

@@ -23,6 +23,13 @@ def patterns_from(vectors):
     return np.vstack([np.asarray(v, dtype=np.float64) for v in vectors])
 
 
+def ridge_fit(samples):
+    """The fit sfa_loss makes: the moments, then RIDGE on the diagonal."""
+    mu, cov = gaussian_moments(samples)
+    cov[np.diag_indices_from(cov)] += RIDGE
+    return mu, cov
+
+
 def one_d(mu, var):
     """Mean and covariance of a 1-D Gaussian, in kl_gaussian's argument form."""
     return np.array([mu]), np.array([[var]])
@@ -30,7 +37,7 @@ def one_d(mu, var):
 
 class TestFits:
     def test_constant_maps(self):
-        mu, cov = gaussian_moments(np.full((8, 3), 0.5), RIDGE)
+        mu, cov = ridge_fit(np.full((8, 3), 0.5))
         assert RIDGE == 1e-4
         assert np.array_equal(mu, np.full(3, 0.5))
         assert np.array_equal(cov, 1e-4 * np.eye(3))
@@ -39,7 +46,7 @@ class TestFits:
         rng = np.random.default_rng(0)
         qs = [map_from(rng.normal(size=(6, 4))) for _ in range(3)]
         qt = [map_from(rng.normal(size=(6, 4))) for _ in range(3)]
-        fits = gaussian_moments(np.vstack(qs), RIDGE) + gaussian_moments(np.vstack(qt), RIDGE)
+        fits = ridge_fit(np.vstack(qs)) + ridge_fit(np.vstack(qt))
         assert sfa_loss(qs, qt) == kl_gaussian(*fits)
 
     def test_single_position_rejected(self):
@@ -70,8 +77,8 @@ class TestFits:
     def test_pattern_fit_matches_moments_diagonal(self):
         rng = np.random.default_rng(1)
         pats_s, pats_t = rng.normal(size=(2, 8, 5))
-        mu_s, cov_s = gaussian_moments(pats_s, RIDGE)
-        mu_t, cov_t = gaussian_moments(pats_t, RIDGE)
+        mu_s, cov_s = ridge_fit(pats_s)
+        mu_t, cov_t = ridge_fit(pats_t)
         value, _ = spa_loss([pats_s], [pats_t])
         assert value == pytest.approx(
             kl_diagonal(mu_s, np.diag(cov_s), mu_t, np.diag(cov_t)), rel=1e-12

@@ -33,10 +33,11 @@ def episodes_dir(tmp_path, synth_config):
 
 
 def tree_digest(root):
+    """sha256 over the sorted (relative path, file bytes) pairs under root."""
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*")):
         if path.is_file():
-            digest.update(path.name.encode())
+            digest.update(path.relative_to(root).as_posix().encode())
             digest.update(path.read_bytes())
     return digest.hexdigest()
 
@@ -52,6 +53,16 @@ class TestGen:
         assert main(["gen", "--config", str(synth_config), "--out", str(a)]) == 0
         assert main(["gen", "--config", str(synth_config), "--out", str(b)]) == 0
         assert tree_digest(a) == tree_digest(b)
+
+    def test_files_are_pinned(self, tmp_path):
+        # two 3-way 2-shot episodes, digest recorded before the writer
+        # moved into feature_store.save_episode
+        config = tmp_path / "synth.json"
+        config.write_text(json.dumps({**SYNTH, "k_shot": 2, "episodes": 2}))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "eps")]) == 0
+        assert tree_digest(tmp_path / "eps") == (
+            "c5efc09233c61f49b00aa9fa8368e0a89efdfc324ea7f135f03052af25075b59"
+        )
 
     def test_invalid_gamma_exits_2(self, tmp_path, capsys):
         bad = dict(SYNTH)
@@ -206,14 +217,14 @@ class TestDump:
         assert len(list(out.glob("patterns_q*.ftns"))) == 2 * 3 * 4
         episode = load_episode(EpisodeManifest.load(manifest), manifest.parent)
         emb = embed_episode(episode, PipelineConfig())
-        for prefix, query_rows in (("qs", emb.qs_rows), ("qt", emb.qt_rows)):
+        for prefix, query_rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
             for q, row in enumerate(query_rows):
                 rows = read_tensor_file(out / f"patterns_{prefix}{q}.ftns")
                 want = np.vstack([
                     similarity_pattern(similarity_matrix(
                         row_map(emb.stack, row), [row_map(emb.stack, r) for r in group]
                     )).vector
-                    for group in emb.support_rows
+                    for group in episode.support_rows
                 ])
                 assert rows.shape == want.shape == (3, 9)  # classes x folded 3x3 grid
                 assert np.allclose(rows, want, rtol=0.0, atol=1e-6)
@@ -251,6 +262,15 @@ class TestUsageErrors:
                   "--out", str(tmp_path / "o.csv")])
         assert err.value.code == 2
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("tasks", ["0", "-3"])
+    def test_tasks_below_one_exits_2(self, synth_config, tmp_path, command, tasks):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--synth", str(synth_config), "--tasks", tasks,
+                  "--out", str(tmp_path / "o.csv")])
+        assert err.value.code == 2
+        assert list(tmp_path.glob("o.*")) == []
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

@@ -172,12 +172,12 @@ class TestEmbedEpisode:
         h, w, _ = ep.grid
         n = sum(len(g) for g in ep.support) + len(ep.query_source) + len(ep.query_target)
         assert emb.stack.shape == (n, h // 2 * (w // 2), 4 * emb.k)
-        assert [len(rows) for rows in emb.support_rows] == [len(g) for g in ep.support]
-        assert (len(emb.qs_rows), len(emb.qt_rows)) == (
+        assert [len(rows) for rows in ep.support_rows] == [len(g) for g in ep.support]
+        assert (len(ep.qs_rows), len(ep.qt_rows)) == (
             len(ep.query_source), len(ep.query_target))
-        rows = np.concatenate([*emb.support_rows, emb.qs_rows, emb.qt_rows])
+        rows = np.concatenate([*ep.support_rows, ep.qs_rows, ep.qt_rows])
         assert np.array_equal(rows, np.arange(len(emb.stack)))
-        assert emb.k == emb.centroids.k
+        assert emb.centroids.shape == (emb.k, ep.grid[2])
 
     def test_raw_local_stack_is_the_reshape(self):
         ep, _ = generate_episode(SMALL)
@@ -185,10 +185,18 @@ class TestEmbedEpisode:
         h, w, d = ep.grid
         assert (emb.k, emb.centroids) == (0, None)
         for c, group in enumerate(ep.support):
-            for row, img in zip(emb.support_rows[c], group):
+            for row, img in zip(ep.support_rows[c], group):
                 assert np.array_equal(emb.stack[row], np.reshape(img, (h * w, d)))
-        for row, img in zip(emb.qt_rows, ep.query_target):
+        for row, img in zip(ep.qt_rows, ep.query_target):
             assert np.array_equal(emb.stack[row], np.reshape(img, (h * w, d)))
+
+    def test_no_target_queries_is_a_clear_error(self):
+        ep, _ = generate_episode(SMALL)
+        n_source = len(ep.images) - len(ep.qt_rows)
+        blind = Episode(ep.images[:n_source], ep.n_way, ep.k_shot,
+                        ep.query_source_labels, [])
+        with pytest.raises(ValueError, match="both local pools need at least"):
+            embed_episode(blind, PipelineConfig())
 
 
 class TestEvaluate:

@@ -2,7 +2,9 @@
 
 import io
 import struct
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from fewshift.feature_store import (
     load_episode,
     read_tensor,
     read_tensor_file,
+    save_episode,
     write_tensor,
     write_tensor_file,
 )
@@ -136,15 +139,17 @@ class TestTensorFormat:
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_huge_declared_payload_is_truncation(self, tmp_path, from_file):
-        # the header declares 14.4 GB; the stream holds 16 bytes
-        blob = b"FTNS" + struct.pack("<BB2I", 1, 2, 60000, 60000) + bytes(16)
-        path = tmp_path / "huge.ftns"
-        path.write_bytes(blob)
-        with pytest.raises(TruncatedError, match="stream held 4"):
-            if from_file:
-                read_tensor_file(path)
-            else:
-                read_tensor(io.BytesIO(blob))
+        # the headers declare 14.4 GB, and element counts of 2**64 and
+        # 2**64 * 4, which wrap to 0 in int64; the stream holds 16 bytes
+        for dims in ((60000, 60000), (65536,) * 4, (2**31, 2**31, 4, 1)):
+            blob = b"FTNS" + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims) + bytes(16)
+            path = tmp_path / "huge.ftns"
+            path.write_bytes(blob)
+            with pytest.raises(TruncatedError, match="stream held 4"):
+                if from_file:
+                    read_tensor_file(path)
+                else:
+                    read_tensor(io.BytesIO(blob))
 
 
 finite_tensors = hnp.arrays(
@@ -255,6 +260,24 @@ class TestManifest:
         with pytest.raises(ManifestError):
             EpisodeManifest.from_dict({"n_way": 5})
 
+    def test_non_string_path_rejected(self, tmp_path):
+        raw = build_manifest(tmp_path).to_dict()
+        raw["query_source"][1]["path"] = 5
+        with pytest.raises(ManifestError, match="query_source entry path 5 is not a string"):
+            EpisodeManifest.from_dict(raw)
+
+    @pytest.mark.parametrize("field", ["h", "w", "d"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_non_positive_dims_rejected(self, tmp_path, field, value):
+        manifest = build_manifest(tmp_path)
+        raw = manifest.to_dict()
+        raw["dims"][field] = value
+        with pytest.raises(ManifestError, match=f"dims {field} must be >= 1, got {value}"):
+            EpisodeManifest.from_dict(raw)
+        attr = {"h": "height", "w": "width", "d": "channels"}[field]
+        with pytest.raises(ManifestError, match=f"dims {field}"):
+            load_episode(replace(manifest, **{attr: value}), tmp_path)
+
 
 class TestLoadEpisode:
     def test_five_way_one_shot(self, tmp_path):
@@ -354,3 +377,30 @@ class TestEpisode:
         assert np.array_equal(ep.query_target, images[5:])
         assert all(np.shares_memory(s, ep.images) for s in ep.support)
         assert ep.grid == (2, 2, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_way=st.integers(1, 3),
+    k_shot=st.integers(1, 3),
+    n_query=st.integers(1, 3),
+)
+def test_save_load_round_trip(seed, n_way, k_shot, n_query):
+    rng = np.random.default_rng(seed)
+    qs_labels, qt_labels = (
+        rng.permutation(np.repeat(np.arange(n_way), n_query)).tolist() for _ in range(2)
+    )
+    n = n_way * (k_shot + 2 * n_query)
+    episode = Episode(rng.normal(size=(n, 2, 4, 3)), n_way, k_shot, qs_labels, qt_labels)
+    with tempfile.TemporaryDirectory() as out:
+        path = save_episode(episode, Path(out) / "ep")
+        assert path == Path(out) / "ep" / "manifest.json"
+        loaded = load_episode(EpisodeManifest.load(path), path.parent)
+    assert loaded.content_hash() == episode.content_hash()
+    assert loaded.scoring_labels() == episode.scoring_labels()
+    assert (loaded.n_way, loaded.k_shot) == (n_way, k_shot)
+    for got, want in zip(loaded.support_rows, episode.support_rows, strict=True):
+        assert np.array_equal(got, want)
+    assert np.array_equal(loaded.qs_rows, episode.qs_rows)
+    assert np.array_equal(loaded.qt_rows, episode.qt_rows)

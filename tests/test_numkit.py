@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from fewshift.alignment import sfa_loss
 from fewshift.errors import NotPositiveDefiniteError
 from fewshift.numkit import (
     KMeansResult,
@@ -417,10 +418,13 @@ class TestGaussianMoments:
         assert np.allclose(cov, cov_ref, atol=1e-10)
 
     def test_ridge_forces_pd(self):
+        # the fit itself is singular; sfa_loss adds alignment.RIDGE to its
+        # diagonal, which makes it positive definite
         x = np.tile([1.0, 2.0, 3.0], (10, 1))  # rank deficient
-        _, cov = gaussian_moments(x, ridge=1e-4)
-        lower = cholesky(cov)
-        assert np.all(np.diag(lower) > 0)
+        _, cov = gaussian_moments(x)
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(cov)
+        assert sfa_loss(x, x) == 0.0
 
     def test_exact_symmetry(self):
         _, cov = gaussian_moments(np.random.default_rng(7).normal(size=(50, 6)))

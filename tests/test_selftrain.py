@@ -72,7 +72,7 @@ def scored(queries, classes=None):
 def target_blocks(episode, cfg):
     """(blocks, support rows) of an episode's target queries."""
     emb = embed_episode(episode, cfg)
-    return PooledBlocks(emb.stack, emb.qt_rows), emb.support_rows
+    return PooledBlocks(emb.stack, episode.qt_rows), episode.support_rows
 
 
 class TestSelectConfident:
@@ -98,7 +98,7 @@ class TestPromoteAndReclassify:
         # scores lie in [-1, 1], so the ratio never exceeds e^2 < 10
         result = promote_and_reclassify(blocks, support, threshold=10.0)
         base = score_set(blocks, support)
-        assert np.array_equal(result.predictions, base.predictions)
+        assert np.array_equal(result.table.predictions, base.predictions)
         assert result.rounds_used == 0
         assert result.confident == [[], [], []]
         assert target_owned_classes(result.prototypes, blocks.query_rows) == set()
@@ -108,7 +108,7 @@ class TestPromoteAndReclassify:
         queries = [one_hot_map(c, 6, jiggle=0.02, rng=rng) for c in (0, 1, 2)]
         one = promote_and_reclassify(*scored(queries), max_rounds=1)
         three = promote_and_reclassify(*scored(queries), max_rounds=3)
-        assert np.array_equal(one.predictions, three.predictions)
+        assert np.array_equal(one.table.predictions, three.table.predictions)
         assert one.confident == three.confident
 
     def test_promotion_replaces_prototypes(self):
@@ -150,7 +150,7 @@ class TestPromoteAndReclassify:
         pc = config_for_toggles(PipelineConfig(), {"tse", "cs"})
         a = promote_and_reclassify(*target_blocks(ep, pc))
         b = promote_and_reclassify(*target_blocks(ep, pc))
-        assert np.array_equal(a.predictions, b.predictions)
+        assert np.array_equal(a.table.predictions, b.table.predictions)
         assert a.confident == b.confident
 
     @pytest.mark.slow

@@ -11,7 +11,6 @@ from scipy.optimize import linear_sum_assignment
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans
 from fewshift.rng import SplitMix64
 from fewshift.semantic import (
-    SemanticCentroids,
     block_split_concat,
     cluster_task,
     fuse_centroids,
@@ -137,13 +136,6 @@ def test_exact_tie_counts_within_rounding():
 
 
 class TestFuseCentroids:
-    def test_empty_history_returns_init(self):
-        init = np.random.default_rng(5).normal(size=(3, 6))
-        out = fuse_centroids(init, None)
-        assert np.array_equal(out, init)
-        out2 = fuse_centroids(init, np.zeros((0, 6)))
-        assert np.array_equal(out2, init)
-
     def test_orthonormal_self_attention_keeps_direction(self):
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.normal(size=(8, 8)))
@@ -171,10 +163,10 @@ class TestClusterTask:
         ])
         cents = cluster_task(pts, pts.copy(), 2)
         blob_means = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        cost = -cosine_matrix(cents.centroids, blob_means)
+        cost = -cosine_matrix(cents, blob_means)
         rows, cols = linear_sum_assignment(cost)
         for i, j in zip(rows, cols):
-            assert np.allclose(cents.centroids[i], blob_means[j], atol=1e-6)
+            assert np.allclose(cents[i], blob_means[j], atol=1e-6)
 
     def test_each_side_is_plain_kmeans(self):
         # without a warm start each side is farthest-first from the fixed
@@ -189,12 +181,12 @@ class TestClusterTask:
             kmeans(points, 3, farthest_first_init(points, 3, SplitMix64(_INIT_SEED))).centroids
             for points in (support, query)
         ]
-        assert np.array_equal(cents.centroids, _merge_match_average(*sides))
+        assert np.array_equal(cents, _merge_match_average(*sides))
 
     def test_match_average_keeps_k(self):
         rng = np.random.default_rng(12)
         cents = cluster_task(rng.normal(size=(30, 4)), rng.normal(size=(30, 4)), 3)
-        assert cents.k == 3
+        assert cents.shape == (3, 4)
 
     def test_deterministic(self):
         rng = np.random.default_rng(13)
@@ -202,7 +194,7 @@ class TestClusterTask:
         query = rng.normal(size=(50, 6))
         a = cluster_task(support, query, 4)
         b = cluster_task(support, query, 4)
-        assert np.array_equal(a.centroids, b.centroids)
+        assert np.array_equal(a, b)
 
     def test_planted_parts_recovered(self):
         sigma_p = 0.05
@@ -221,7 +213,7 @@ class TestClusterTask:
         cents = cluster_task(support_locals, query_locals, 4)
         prototypes = truth.prototypes[0]
         dist = np.linalg.norm(
-            cents.centroids[:, None, :] - prototypes[None, :, :], axis=2
+            cents[:, None, :] - prototypes[None, :, :], axis=2
         )
         rows, cols = linear_sum_assignment(dist)
         assert len(set(cols)) == 4  # one distinct prototype per centroid
@@ -235,14 +227,14 @@ class TestClusterTask:
 
 class TestSemanticMap:
     def test_exact_centroid_match_scores_one(self):
-        cents = SemanticCentroids(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        cents = np.array([[1.0, 0.0], [0.0, 1.0]])
         img = np.zeros((2, 2, 2))
         img[0, 0] = [2.0, 0.0]  # parallel to centroid 0
         grid = semantic_map(img, cents)
         assert grid[0, 0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_local_all_zero(self):
-        cents = SemanticCentroids(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        cents = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         img = np.zeros((1, 1, 3))
         img[0, 0] = [0.0, 0.0, 5.0]
         assert np.array_equal(semantic_map(img, cents)[0, 0], [0.0, 0.0])
@@ -250,28 +242,28 @@ class TestSemanticMap:
     def test_against_naive_loop(self):
         rng = np.random.default_rng(14)
         img = rng.normal(size=(6, 6, 32))
-        cents = SemanticCentroids(rng.normal(size=(5, 32)))
+        cents = rng.normal(size=(5, 32))
         grid = semantic_map(img, cents)
         # matmul reassociation keeps entries within an ulp of the scalar path
         for r in range(6):
             for c in range(6):
                 for j in range(5):
                     v = img[r, c]
-                    m = cents.centroids[j]
+                    m = cents[j]
                     want = np.dot(v, m) / (np.linalg.norm(v) * np.linalg.norm(m))
                     assert grid[r, c, j] == pytest.approx(want, abs=1e-13)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(15)
         img = rng.normal(size=(4, 4, 8))
-        cents = SemanticCentroids(rng.normal(size=(3, 8)))
-        scaled = SemanticCentroids(cents.centroids * 7.5)
+        cents = rng.normal(size=(3, 8))
+        scaled = cents * 7.5
         a = semantic_map(img, cents)
         b = semantic_map(img * 0.25, scaled)
         assert np.allclose(a, b, atol=1e-9)
 
     def test_dim_mismatch(self):
-        cents = SemanticCentroids(np.ones((2, 5)))
+        cents = np.ones((2, 5))
         with pytest.raises(ValueError):
             semantic_map(np.zeros((2, 2, 4)), cents)
 
@@ -279,7 +271,7 @@ class TestSemanticMap:
     def test_stack_matches_per_image(self):
         rng = np.random.default_rng(18)
         stack = rng.normal(size=(5, 4, 6, 8))
-        cents = SemanticCentroids(rng.normal(size=(3, 8)))
+        cents = rng.normal(size=(3, 8))
         grids = semantic_map(stack, cents)
         assert grids.shape == (5, 4, 6, 3)
         for img, grid in zip(stack, grids):
@@ -292,28 +284,28 @@ class TestBlockSplit:
         folded = block_split_concat(grids)
         assert folded.shape == (3, 2 * 3, 4 * 2)
         for grid, rows in zip(grids, folded):
-            assert np.array_equal(rows, block_split_concat(grid))
+            assert np.array_equal(rows, block_split_concat(grid[None])[0])
 
     def test_minimal_grid_order(self):
         grid = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # 2x2x1
-        rows = block_split_concat(grid)
+        rows = block_split_concat(grid[None])[0]
         assert rows.shape == (1, 4)
         assert np.array_equal(rows[0], [1.0, 2.0, 3.0, 4.0])
 
     def test_multiset_preserved(self):
         grid = np.random.default_rng(16).normal(size=(4, 4, 3))
-        rows = block_split_concat(grid)
+        rows = block_split_concat(grid[None])[0]
         assert rows.size == 48
         assert np.array_equal(np.sort(rows, axis=None), np.sort(grid, axis=None))
 
     def test_odd_grid_rejected(self):
         with pytest.raises(ValueError):
-            block_split_concat(np.zeros((3, 4, 2)))
+            block_split_concat(np.zeros((1, 3, 4, 2)))
 
     def test_inverse_round_trip(self):
         grid = np.random.default_rng(17).normal(size=(6, 8, 5))
         h2, w2, k = 3, 4, 5
-        folded = block_split_concat(grid).reshape(h2, w2, 4 * k)
+        folded = block_split_concat(grid[None])[0].reshape(h2, w2, 4 * k)
         rebuilt = np.empty_like(grid)
         rebuilt[:h2, :w2] = folded[:, :, 0 * k:1 * k]
         rebuilt[:h2, w2:] = folded[:, :, 1 * k:2 * k]
@@ -337,29 +329,33 @@ def unfold(features, h2, w2):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(0, 3),  # 0: a single grid
+    n=st.integers(1, 3),
     h2=st.integers(1, 4),
     w2=st.integers(1, 4),
     k=st.integers(1, 5),
 )
 def test_fold_is_a_bijection(seed, n, h2, w2, k):
     rng = np.random.default_rng(seed)
-    grids = rng.normal(size=(max(n, 1), 2 * h2, 2 * w2, k))
-    stack = block_split_concat(grids[0])[None] if n == 0 else block_split_concat(grids)
-    assert stack.shape == (len(grids), h2 * w2, 4 * k)
+    grids = rng.normal(size=(n, 2 * h2, 2 * w2, k))
+    stack = block_split_concat(grids)
+    assert stack.shape == (n, h2 * w2, 4 * k)
     for grid, rows in zip(grids, stack):
         assert np.array_equal(unfold(rows, h2, w2), grid)
     # unfold is also a right inverse, so the fold is one-to-one and onto
     folded = rng.normal(size=(h2 * w2, 4 * k))
-    assert np.array_equal(block_split_concat(unfold(folded, h2, w2)), folded)
+    assert np.array_equal(block_split_concat(unfold(folded, h2, w2)[None])[0], folded)
 
 
 class TestCentroidValidation:
+    """cluster_task's own checks on the centroids it returns."""
+
     def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            SemanticCentroids(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        # all-zero locals on both sides cluster to all-zero centroids
+        with pytest.raises(ValueError, match="non-zero"):
+            cluster_task(np.zeros((10, 3)), np.zeros((10, 3)), 2)
 
     def test_single_row_rejected(self):
-        with pytest.raises(ValueError):
-            SemanticCentroids(np.ones((1, 4)))
+        rng = np.random.default_rng(20)
+        with pytest.raises(ValueError, match="at least 2 centroid rows"):
+            cluster_task(rng.normal(size=(10, 4)), rng.normal(size=(10, 4)), 1)
 
