@@ -3,8 +3,8 @@
 Subcommands: gen (write synthetic episodes to disk), run (one episode),
 eval (a suite with CSV + summary), ablate (paired toggle grid), dump
 (intermediate tensors for external plotting).  Exit codes: 0 success,
-1 runtime failure (for eval, any failed episode), 2 usage or config
-error.
+1 runtime failure (for eval and ablate, any failed episode), 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def _single_episode(args):
 def cmd_run(args) -> int:
     cfg = _pipeline_config(args)
     eid, episode = _single_episode(args)
-    report, _ = run_episode(episode, cfg, episode_id=eid)
+    report = run_episode(episode, cfg, episode_id=eid)
     print(f"episode {report.episode_id}: accuracy {report.accuracy:.4f}")
     print(
         f"losses: l_cls {report.l_cls:.6f}  l_sfa {report.l_sfa:.6f}  "
@@ -131,7 +131,7 @@ def cmd_ablate(args) -> int:
     base, episodes = _load_synth_config(args.synth, args.seed)
     n_tasks = args.tasks or episodes
     grid = _parse_grid(args.grid)
-    rows = ablate(cfg, grid, lambda: SyntheticTaskStream(base), n_tasks, args.threads)
+    rows = ablate(cfg, grid, SyntheticTaskStream(base), n_tasks, args.threads)
     lines = ["variant,mean_accuracy,ci95"]
     for row in rows:
         lines.append(f"{row.label()},{row.report.mean_accuracy!r},{row.report.ci95!r}")
@@ -139,7 +139,10 @@ def cmd_ablate(args) -> int:
     if args.out:
         Path(args.out).write_text(table)
     print(table, end="")
-    return 0
+    failed = [(row.label(), fail) for row in rows for fail in row.report.failures]
+    for label, (eid, err) in failed:
+        print(f"{label}: episode {eid} failed: {err}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_dump(args) -> int:

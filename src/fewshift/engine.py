@@ -24,7 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -75,9 +75,11 @@ class PipelineConfig:
 
 @dataclass
 class EpisodeReport:
-    episode_id: str
+    """One episode's outputs.  forward_episode fills the fields through
+    centroids (the next task's warm start, None for raw locals), and
+    run_episode stamps the rest once the predictions are scored."""
+
     predictions: np.ndarray
-    accuracy: float
     l_cls: float
     l_sfa: float
     l_spa: float
@@ -87,8 +89,11 @@ class EpisodeReport:
     rounds: int
     confident_per_class: list[int]
     spa_skipped: int
-    wall_ms: float
-    episode_hash: str
+    centroids: np.ndarray | None
+    episode_id: str = ""
+    accuracy: float = math.nan
+    wall_ms: float = math.nan
+    episode_hash: str = ""
 
     @property
     def confident_count(self) -> int:
@@ -109,22 +114,6 @@ class EpisodeReport:
             str(self.spa_skipped),
             repr(float(self.wall_ms)),
         ]
-
-
-@dataclass
-class ForwardResult:
-    """Everything the label-blind forward pass produces."""
-
-    predictions: np.ndarray
-    l_cls: float
-    l_sfa: float
-    l_spa: float
-    l_clm: float
-    k: int
-    rounds: int
-    confident_per_class: list[int]
-    spa_skipped: int
-    centroids: np.ndarray | None
 
 
 class EpisodeEmbedding(NamedTuple):
@@ -165,7 +154,7 @@ def forward_episode(
     episode: Episode,
     cfg: PipelineConfig,
     history: np.ndarray | None = None,
-) -> ForwardResult:
+) -> EpisodeReport:
     """Label-blind pass: embeddings, losses, and target predictions.
 
     Target labels are untouched; scoring happens in run_episode.  Each
@@ -204,9 +193,10 @@ def forward_episode(
     # pattern alignment uses the support-based (round-0) patterns on both
     # sides so the per-class vectors share one length
     l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns)
-    return ForwardResult(
-        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, emb.k, rounds, confident,
-        skipped, emb.centroids,
+    total = l_cls + cfg.lambda_sfa * l_sfa + cfg.lambda_spa * l_spa + cfg.lambda_clm * l_clm
+    return EpisodeReport(
+        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, total, emb.k, rounds,
+        confident, skipped, emb.centroids,
     )
 
 
@@ -215,36 +205,17 @@ def run_episode(
     cfg: PipelineConfig,
     history: np.ndarray | None = None,
     episode_id: str = "0",
-) -> tuple[EpisodeReport, np.ndarray | None]:
-    """Forward pass plus scoring; returns the report and the centroids
-    the next task may warm-start from."""
+) -> EpisodeReport:
+    """Forward pass plus scoring; report.centroids is what the next task
+    may warm-start from."""
     start = time.perf_counter()
-    fwd = forward_episode(episode, cfg, history)
-    accuracy = float((fwd.predictions == np.asarray(episode.scoring_labels())).mean())
-    total = (
-        fwd.l_cls
-        + cfg.lambda_sfa * fwd.l_sfa
-        + cfg.lambda_spa * fwd.l_spa
-        + cfg.lambda_clm * fwd.l_clm
-    )
-    wall_ms = (time.perf_counter() - start) * 1e3
-    report = EpisodeReport(
-        episode_id=episode_id,
-        predictions=fwd.predictions,
-        accuracy=accuracy,
-        l_cls=fwd.l_cls,
-        l_sfa=fwd.l_sfa,
-        l_spa=fwd.l_spa,
-        l_clm=fwd.l_clm,
-        total=total,
-        k=fwd.k,
-        rounds=fwd.rounds,
-        confident_per_class=fwd.confident_per_class,
-        spa_skipped=fwd.spa_skipped,
-        wall_ms=wall_ms,
-        episode_hash=episode.content_hash(),
-    )
-    return report, fwd.centroids
+    report = forward_episode(episode, cfg, history)
+    labels = np.asarray(episode.scoring_labels())
+    report.episode_id = episode_id
+    report.accuracy = float((report.predictions == labels).mean())
+    report.wall_ms = (time.perf_counter() - start) * 1e3
+    report.episode_hash = episode.content_hash()
+    return report
 
 
 class TaskStream(Protocol):
@@ -282,7 +253,8 @@ class ManifestTaskStream:
     def episode(self, index: int) -> tuple[str, Episode]:
         path = self.paths[index]
         ep = load_episode(EpisodeManifest.load(path), path.parent)
-        return path.parent.name or path.stem, ep
+        name = path.parent.name if path.name == "manifest.json" else path.stem
+        return name or path.stem, ep
 
     def descriptor(self) -> str:
         return "manifests:" + ",".join(str(p) for p in self.paths)
@@ -357,13 +329,13 @@ def evaluate(
     fingerprint = _fingerprint(cfg, stream.descriptor(), n_tasks)
 
     def one(i: int, history):
-        """(report, centroids, failure) for episode i; loading counts too."""
+        """(report, failure) for episode i; loading counts too."""
         eid = f"#{i}"  # until the stream has named the episode
         try:
             eid, ep = stream.episode(i)
-            return (*run_episode(ep, cfg, history, eid), None)
+            return run_episode(ep, cfg, history, eid), None
         except Exception as exc:  # episode failure aborts that episode only
-            return None, None, (eid, repr(exc))
+            return None, (eid, repr(exc))
 
     chained = cfg.use_catt and cfg.feature_mode == "semantic"
     if chained or threads <= 1:
@@ -372,13 +344,13 @@ def evaluate(
         for i in range(n_tasks):
             outcomes.append(one(i, history))
             if chained and outcomes[-1][0] is not None:
-                history = outcomes[-1][1]
+                history = outcomes[-1][0].centroids
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(lambda i: one(i, None), range(n_tasks)))
 
-    done = [report for report, _, _ in outcomes if report is not None]
-    failures = [fail for _, _, fail in outcomes if fail is not None]
+    done = [report for report, _ in outcomes if report is not None]
+    failures = [fail for _, fail in outcomes if fail is not None]
     if not done:
         raise RuntimeError("every episode failed")
     accs = np.array([r.accuracy for r in done])
@@ -452,24 +424,22 @@ class AblationRow:
 def ablate(
     base: PipelineConfig,
     grid: Sequence[set[str]],
-    stream_factory: Callable[[], TaskStream],
+    stream: TaskStream,
     n_tasks: int,
     threads: int = 1,
 ) -> list[AblationRow]:
     """Evaluate every toggle set on identical episodes (paired design).
 
-    The pairing is asserted: all variants must consume byte-identical
-    episode streams, verified through the per-episode content hashes.
+    The pairing is asserted: an episode several rows ran has one content
+    hash in all of them.  Failed episodes stay in each row's failures.
     """
     rows = []
+    hashes: dict[str, str] = {}
     for toggles in grid:
         cfg = config_for_toggles(base, set(toggles))
-        report = evaluate(stream_factory(), n_tasks, cfg, threads)
+        report = evaluate(stream, n_tasks, cfg, threads)
         rows.append(AblationRow(frozenset(toggles), report))
-    if len(rows) > 1:
-        reference = [r.episode_hash for r in rows[0].report.reports]
-        for row in rows[1:]:
-            hashes = [r.episode_hash for r in row.report.reports]
-            if hashes != reference:
-                raise AssertionError("ablation variants saw different episodes")
+        for r in report.reports:
+            if hashes.setdefault(r.episode_id, r.episode_hash) != r.episode_hash:
+                raise AssertionError(f"ablation variants differ at episode {r.episode_id}")
     return rows

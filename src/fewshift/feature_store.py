@@ -43,6 +43,7 @@ from .errors import (
 MAGIC = b"FTNS"
 VERSION = 1
 MAX_RANK = 4
+_CHUNK = 1 << 20  # bytes per read from a stream that cannot seek
 
 
 def _checked_write(sink: BinaryIO, data: bytes | memoryview, offset: int) -> int:
@@ -101,9 +102,14 @@ def read_tensor(source: BinaryIO) -> np.ndarray:
         start = source.tell()
         size = min(size, source.seek(0, os.SEEK_END) - start)
         source.seek(start)
-    # read into a writable buffer the array then owns, so nothing is copied
-    payload = bytearray(size)
-    held = source.readinto(payload)
+        # read into a writable buffer the array then owns, so nothing is copied
+        payload = bytearray(size)
+        held = source.readinto(payload)
+    else:  # nor on a pipe: read a chunk at a time, up to the declared size
+        payload = bytearray()
+        while chunk := source.read(min(_CHUNK, size - len(payload))):
+            payload += chunk
+        held = len(payload)
     if held < 4 * count:
         raise TruncatedError(
             f"{where}payload declares {count} floats, stream held {held // 4}"

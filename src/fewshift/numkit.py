@@ -172,10 +172,7 @@ def kmeans(
             assignments[moved] = came
             set_bounds(active, d2, nearest, margin[active])
 
-        new_centroids = sums / np.maximum(counts, 1)[:, None]
-        dead = counts == 0
-        if dead.any():  # unreachable unless every cluster is a singleton
-            new_centroids[dead] = centroids[dead]
+        new_centroids = sums / counts[:, None]  # none empty: a full pass reseeds them
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
         centroids = new_centroids
         if float(shift.max()) < tol:

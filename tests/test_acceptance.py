@@ -195,13 +195,11 @@ def ablation_suite():
         episode, _ = generate_episode(cfg)
         for name, toggles in VARIANTS.items():
             variant_cfg = config_for_toggles(base_cfg, toggles)
-            report, cents = run_episode(
-                episode, variant_cfg, histories[name], str(i)
-            )
+            report = run_episode(episode, variant_cfg, histories[name], str(i))
             acc[name].append(report.accuracy)
             hashes[name].append(report.episode_hash)
             if variant_cfg.use_catt:
-                histories[name] = cents
+                histories[name] = report.centroids
         # promotion audit under the full configuration
         full_cfg = config_for_toggles(base_cfg, VARIANTS["full"])
         emb = embed_episode(episode, full_cfg, None)
@@ -272,7 +270,7 @@ def test_criterion_6_alignment_sensitivity():
                 distractor_rate=0.2, n_query=8, height=8, width=8, channels=48,
             )
             episode, _ = generate_episode(synth)
-            report, _ = run_episode(episode, cfg, episode_id=str(i))
+            report = run_episode(episode, cfg, episode_id=str(i))
             sfa[gamma].append(report.l_sfa)
     lo, hi = np.mean(sfa[0.0]), np.mean(sfa[0.9])
     assert hi > lo, f"L_sfa at 0.9 ({hi:.3f}) not above L_sfa at 0 ({lo:.3f})"
@@ -314,7 +312,7 @@ def test_criterion_7_invariant_suite():
                         channels=48)
     episode, _ = generate_episode(synth)
     cfg = PipelineConfig()
-    report, _ = run_episode(episode, cfg)
+    report = run_episode(episode, cfg)
     recomputed = (report.l_cls + cfg.lambda_sfa * report.l_sfa
                   + cfg.lambda_spa * report.l_spa + cfg.lambda_clm * report.l_clm)
     assert abs(report.total - recomputed) <= 1e-9

@@ -3,10 +3,13 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from fewshift import cli
 from fewshift.cli import main
-from fewshift.feature_store import read_tensor_file
+from fewshift.engine import SyntheticTaskStream
+from fewshift.feature_store import Episode, read_tensor_file
 
 SYNTH = {
     "seed": 11, "n_way": 3, "k_shot": 1, "n_query": 4,
@@ -171,6 +174,26 @@ class TestAblate:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "variant,mean_accuracy,ci95"
         assert [line.split(",")[0] for line in lines[1:]] == ["tse+cs", "tse", "baseline"]
+
+    def test_failed_episode_exits_1(self, tmp_path, synth_config, capsys, monkeypatch):
+        class Flaky(SyntheticTaskStream):
+            def episode(self, index):  # episode 1 all zero: no semantic centroids
+                eid, ep = super().episode(index)
+                if index == 1:
+                    ep = Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
+                                 ep.query_source_labels, ep.scoring_labels())
+                return eid, ep
+
+        monkeypatch.setattr(cli, "SyntheticTaskStream", Flaky)
+        out = tmp_path / "ablation.csv"
+        code = main(["ablate", "--synth", str(synth_config), "--tasks", "3",
+                     "--grid", "tse,baseline", "--out", str(out)])
+        assert code == 1
+        assert [line.split(",")[0] for line in out.read_text().strip().split("\n")] == [
+            "variant", "tse", "baseline"]
+        err = capsys.readouterr().err
+        assert "tse: episode synth0001 failed: ValueError" in err
+        assert "baseline: episode" not in err
 
     def test_unknown_toggle_exits_2(self, synth_config, tmp_path):
         code = main(["ablate", "--synth", str(synth_config), "--tasks", "1",

@@ -37,6 +37,18 @@ SMALL = SynthConfig(seed=7, shift_strength=0.5, pixel_noise=0.15,
                     distractor_rate=0.2, n_query=5, height=8, width=8, channels=48)
 
 
+class Flaky(SyntheticTaskStream):
+    """Episode 1 has all-zero images: all-zero centroids, which the
+    semantic pipeline rejects; raw locals run it."""
+
+    def episode(self, index):
+        eid, ep = super().episode(index)
+        if index == 1:
+            return eid, Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
+                                ep.query_source_labels, ep.scoring_labels())
+        return eid, ep
+
+
 def default_of(function, parameter):
     return inspect.signature(function).parameters[parameter].default
 
@@ -94,7 +106,7 @@ class TestRunEpisode:
     def test_lambda_zero_total_is_cls(self):
         ep, _ = generate_episode(SMALL)
         cfg = PipelineConfig(lambda_sfa=0.0, lambda_spa=0.0, lambda_clm=0.0)
-        report, _ = run_episode(ep, cfg)
+        report = run_episode(ep, cfg)
         assert report.total == report.l_cls
 
     def test_zero_shift_perfect(self):
@@ -102,13 +114,13 @@ class TestRunEpisode:
                           distractor_rate=0.0, part_noise=0.0, n_query=4,
                           height=6, width=6, channels=32)
         ep, _ = generate_episode(cfg)
-        report, _ = run_episode(ep, PipelineConfig())
+        report = run_episode(ep, PipelineConfig())
         assert report.accuracy == 1.0
 
     def test_loss_additivity(self):
         ep, _ = generate_episode(SMALL)
         cfg = PipelineConfig()
-        report, _ = run_episode(ep, cfg)
+        report = run_episode(ep, cfg)
         want = (report.l_cls + cfg.lambda_sfa * report.l_sfa
                 + cfg.lambda_spa * report.l_spa + cfg.lambda_clm * report.l_clm)
         assert abs(report.total - want) <= 1e-9
@@ -116,8 +128,8 @@ class TestRunEpisode:
     def test_history_ignored_without_catt(self):
         ep, _ = generate_episode(SMALL)
         cfg = replace(PipelineConfig(), use_catt=False)
-        base, cents = run_episode(ep, cfg, history=None)
-        again, _ = run_episode(ep, cfg, history=cents)
+        base = run_episode(ep, cfg, history=None)
+        again = run_episode(ep, cfg, history=base.centroids)
         assert np.array_equal(base.predictions, again.predictions)
         assert (base.l_cls, base.l_sfa, base.l_spa, base.l_clm) == (
             again.l_cls, again.l_sfa, again.l_spa, again.l_clm)
@@ -126,9 +138,9 @@ class TestRunEpisode:
         ep, _ = generate_episode(SMALL)
         ep2, _ = generate_episode(replace(SMALL, seed=8))
         cfg = PipelineConfig()
-        _, cents = run_episode(ep2, cfg)
-        base, _ = run_episode(ep, cfg, history=None)
-        warmed, _ = run_episode(ep, cfg, history=cents)
+        cents = run_episode(ep2, cfg).centroids
+        base = run_episode(ep, cfg, history=None)
+        warmed = run_episode(ep, cfg, history=cents)
         assert base.episode_hash == warmed.episode_hash
         # a different warm start may move losses; it must not crash and
         # must still report the same episode
@@ -136,9 +148,9 @@ class TestRunEpisode:
 
     def test_raw_mode_skips_embedding(self):
         ep, _ = generate_episode(SMALL)
-        report, cents = run_episode(ep, config_for_toggles(PipelineConfig(), {"cs"}))
+        report = run_episode(ep, config_for_toggles(PipelineConfig(), {"cs"}))
         assert report.k == 0
-        assert cents is None
+        assert report.centroids is None
 
     def test_forward_never_reads_target_labels(self):
         ep, _ = generate_episode(SMALL)
@@ -154,9 +166,23 @@ class TestRunEpisode:
         with pytest.raises(AssertionError):
             run_episode(trip, PipelineConfig())
 
+    def test_chain_is_a_run_episode_loop_threading_centroids(self):
+        cfg = PipelineConfig()
+        stream = SyntheticTaskStream(SMALL)
+        chained = evaluate(stream, 3, cfg)
+        history, manual = None, []
+        for i in range(3):
+            eid, ep = stream.episode(i)
+            manual.append(run_episode(ep, cfg, history, eid))
+            history = manual[-1].centroids
+        # every CSV column but the last, wall_ms
+        assert [r.csv_row()[:-1] for r in chained.reports] == [
+            r.csv_row()[:-1] for r in manual]
+        assert all(r.centroids.shape == (r.k, SMALL.channels) for r in manual)
+
     def test_report_csv_row(self):
         ep, _ = generate_episode(SMALL)
-        report, _ = run_episode(ep, PipelineConfig(), episode_id="ep7")
+        report = run_episode(ep, PipelineConfig(), episode_id="ep7")
         row = report.csv_row()
         assert len(row) == len(CSV_COLUMNS)
         assert row[0] == "ep7"
@@ -233,16 +259,6 @@ class TestEvaluate:
         assert patched.fingerprint != a.fingerprint
 
     def test_episode_failure_logged_and_run_continues(self):
-        class Flaky(SyntheticTaskStream):
-            def episode(self, index):
-                eid, ep = super().episode(index)
-                if index == 1:
-                    # all-zero images give all-zero centroids, which the pipeline rejects
-                    broken = Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
-                                     ep.query_source_labels, ep.scoring_labels())
-                    return eid, broken
-                return eid, ep
-
         report = evaluate(Flaky(SMALL), 3, PipelineConfig())
         assert len(report.failures) == 1
         assert report.failures[0][0] == "synth0001"
@@ -443,13 +459,31 @@ class TestScoreOnce:
 class TestAblate:
     def test_rows_paired_and_labeled(self):
         grid = [{"tse"}, {"cs"}, {"tse", "catt", "cs"}]
-        rows = ablate(PipelineConfig(), grid, lambda: SyntheticTaskStream(SMALL), 3)
+        rows = ablate(PipelineConfig(), grid, SyntheticTaskStream(SMALL), 3)
         assert [r.label() for r in rows] == ["tse", "cs", "tse+catt+cs"]
         hashes = [[e.episode_hash for e in r.report.reports] for r in rows]
         assert hashes[0] == hashes[1] == hashes[2]
 
+    def test_failed_episodes_keep_the_pairing_and_are_reported(self):
+        # the raw-local baseline runs the all-zero episode and tse does not
+        rows = ablate(PipelineConfig(), [{"tse"}, set()], Flaky(SMALL), 3)
+        assert [[eid for eid, _ in r.report.failures] for r in rows] == [["synth0001"], []]
+        assert [len(r.report.reports) for r in rows] == [2, 3]
+        # both rows fail it, and each says so
+        rows = ablate(PipelineConfig(), [{"tse"}, {"tse", "cs"}], Flaky(SMALL), 3)
+        assert [[eid for eid, _ in r.report.failures] for r in rows] == [["synth0001"]] * 2
+
+    def test_different_episodes_rejected(self):
+        class Drifting(SyntheticTaskStream):
+            def episode(self, index):  # a new seed on every call
+                self.base = replace(self.base, seed=self.base.seed + 1)
+                return super().episode(index)
+
+        with pytest.raises(AssertionError, match="differ at episode synth0000"):
+            ablate(PipelineConfig(), [{"cs"}, set()], Drifting(SMALL), 1)
+
     def test_empty_grid(self):
-        assert ablate(PipelineConfig(), [], lambda: SyntheticTaskStream(SMALL), 2) == []
+        assert ablate(PipelineConfig(), [], SyntheticTaskStream(SMALL), 2) == []
 
     def test_toggle_mapping(self):
         base = PipelineConfig()
@@ -465,6 +499,15 @@ class TestAblate:
 
 
 class TestManifestStream:
+    def test_side_by_side_manifests_named_by_file(self, monkeypatch):
+        # ablate pairs episodes by id, so one directory's manifests need their own
+        monkeypatch.setattr(engine, "EpisodeManifest", SimpleNamespace(load=str))
+        monkeypatch.setattr(engine, "load_episode", lambda manifest, root: None)
+        stream = ManifestTaskStream(["eps/manifest_a.json", "eps/manifest_b.json",
+                                     "eps/e1/manifest.json", "manifest.json"])
+        assert [stream.episode(i)[0] for i in range(4)] == [
+            "manifest_a", "manifest_b", "e1", "manifest"]
+
     def test_loads_generated_episodes(self, tmp_path):
         from fewshift.cli import main
 

@@ -1,8 +1,11 @@
 """Tests for the tensor container, manifests, and episode loading."""
 
 import io
+import os
 import struct
 import tempfile
+import threading
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fewshift import feature_store
 from fewshift.errors import (
     BadMagicError,
     ManifestError,
@@ -150,6 +154,48 @@ class TestTensorFormat:
                     read_tensor_file(path)
                 else:
                     read_tensor(io.BytesIO(blob))
+
+
+def read_through_pipe(blob):
+    """read_tensor on the read end of an os.pipe that carries blob."""
+    r, w = os.pipe()
+
+    def feed():
+        with os.fdopen(w, "wb") as sink:
+            sink.write(blob)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        with os.fdopen(r, "rb") as source:
+            assert not source.seekable()
+            return read_tensor(source)
+    finally:
+        writer.join()
+
+
+class TestPipeRead:
+    @pytest.mark.parametrize("dims", [(4096, 4096), (2**31, 2**31, 4, 1)])
+    def test_oversized_header_is_truncated_not_allocated(self, dims):
+        blob = b"FTNS" + struct.pack(f"<BB{len(dims)}I", 1, len(dims), *dims)
+        blob += bytes(22 - len(blob))  # 22 bytes in all
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedError):
+                read_through_pipe(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    def test_tensor_larger_than_a_chunk_round_trips(self):
+        arr = np.random.default_rng(5).standard_normal((700, 600)).astype(np.float32)
+        assert arr.nbytes > feature_store._CHUNK
+        sink = io.BytesIO()
+        write_tensor(arr, sink)
+        back = read_through_pipe(sink.getvalue())
+        assert back.shape == arr.shape
+        assert back.tobytes() == arr.tobytes()
 
 
 finite_tensors = hnp.arrays(

@@ -147,7 +147,7 @@ class TestGenerateEpisode:
                 for t in templates
             ]
             oracle_correct += int(int(np.argmax(scores)) == labels[q])
-        rep, _ = run_episode(ep, PipelineConfig(), episode_id="o")
+        rep = run_episode(ep, PipelineConfig(), episode_id="o")
         assert oracle_correct / len(labels) >= rep.accuracy - 1e-9
 
     def test_target_transform_applied(self):
@@ -197,7 +197,7 @@ class TestShiftMonotonicity:
             for i in range(50):
                 cfg = SynthConfig(seed=555 ^ i, shift_strength=gamma, **SMALL)
                 ep, _ = generate_episode(cfg)
-                rep, _ = run_episode(ep, RAW_BASELINE, episode_id=str(i))
+                rep = run_episode(ep, RAW_BASELINE, episode_id=str(i))
                 accs.append(rep.accuracy)
             means.append(float(np.mean(accs)))
         for lo, hi in zip(means[1:], means[:-1]):
@@ -212,6 +212,6 @@ class TestShiftMonotonicity:
             cfg8 = SynthConfig(seed=808 ^ i, shift_strength=0.8, **base)
             for cfg, out in ((cfg0, acc0), (cfg8, acc8)):
                 ep, _ = generate_episode(cfg)
-                rep, _ = run_episode(ep, RAW_BASELINE, episode_id=str(i))
+                rep = run_episode(ep, RAW_BASELINE, episode_id=str(i))
                 out.append(rep.accuracy)
         assert np.mean(acc8) < np.mean(acc0)
