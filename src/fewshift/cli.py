@@ -35,7 +35,9 @@ DUMP_STAGES = ("centroids", "semantic", "patterns", "scores")
 
 def _load_synth_config(path: str, seed_override: int | None) -> tuple[SynthConfig, int]:
     raw = json.loads(Path(path).read_text())
-    episodes = int(raw.pop("episodes", 1))
+    episodes = raw.pop("episodes", 1)
+    if not isinstance(episodes, int) or isinstance(episodes, bool):
+        raise ConfigError("episodes", f"must be an integer, got {episodes!r}")
     if episodes < 1:
         raise ConfigError("episodes", "must be >= 1")
     if seed_override is not None:

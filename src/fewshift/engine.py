@@ -29,8 +29,9 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from . import alignment, patterns, selftrain, semantic
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .feature_store import Episode, EpisodeManifest, load_episode
+from .numkit import squared_norms
 from .rng import derive_seed
 from .synthgen import SynthConfig, generate_episode
 
@@ -51,6 +52,7 @@ class PipelineConfig:
     feature_mode: str = "semantic"
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("lambda_sfa", "lambda_spa", "lambda_clm"):
             if getattr(self, name) < 0:
                 raise ConfigError(name, "must be >= 0")
@@ -131,9 +133,11 @@ def embed_episode(
 ) -> EpisodeEmbedding:
     """Embed every image into one stack, row for row of episode.images.
 
-    The locals the clustering sees are views of the raw stack, and the
-    semantic embedding is one cosine product over it followed by one
-    quadrant fold.  Raw-local mode keeps the raw locals, (n, h * w, d).
+    The locals the clustering sees are views of the raw stack, and their
+    squared norms are computed once, for both K-means sides and the
+    cosines.  The semantic embedding is one cosine product over the stack
+    followed by one quadrant fold.  Raw-local mode keeps the raw locals,
+    (n, h * w, d).
     """
     h, w, d = episode.grid
     raw = episode.images.astype(np.float64)  # (n, h, w, d)
@@ -142,11 +146,15 @@ def embed_episode(
         stack, k, cents = raw.reshape(len(raw), h * w, d), 0, None
     else:
         all_locals = raw.reshape(-1, d)
+        sq_norms = squared_norms(all_locals)
         k = semantic.select_cluster_count(all_locals, k_max=min(d // 2, 64))
         warm = history if cfg.use_catt else None
         split = (len(raw) - len(episode.qt_rows)) * h * w  # source side, then target
-        cents = semantic.cluster_task(all_locals[:split], all_locals[split:], k, warm)
-        stack = semantic.block_split_concat(semantic.semantic_map(raw, cents))
+        cents = semantic.cluster_task(
+            all_locals[:split], all_locals[split:], k, warm,
+            sq_norms=(sq_norms[:split], sq_norms[split:]),
+        )
+        stack = semantic.block_split_concat(semantic.semantic_map(raw, cents, sq_norms))
     return EpisodeEmbedding(stack, k, cents)
 
 

@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of
+config dataclasses that raises ConfigError."""
 
 from __future__ import annotations
+
+import math
+from dataclasses import fields
 
 
 class FewshiftError(Exception):
@@ -13,6 +17,25 @@ class ConfigError(FewshiftError):
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigError for the first field of a config dataclass whose
+    value does not have the declared type.
+
+    A bool field takes a bool; an int field an int that is not a bool; a
+    float field a finite int or float that is not a bool.  Fields of other
+    types are left to the config's own checks.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if f.type == "bool" and not isinstance(value, bool):
+            raise ConfigError(f.name, f"must be true or false, got {value!r}")
+        if f.type == "int" and not (number and isinstance(value, int)):
+            raise ConfigError(f.name, f"must be an integer, got {value!r}")
+        if f.type == "float" and not (number and math.isfinite(value)):
+            raise ConfigError(f.name, f"must be a finite number, got {value!r}")
 
 
 class TensorFormatError(FewshiftError):

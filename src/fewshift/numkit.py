@@ -29,19 +29,39 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _sq_distances(
-    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray
+    points: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray, out=None
 ) -> np.ndarray:
-    """||x||^2 - 2 x.c + ||c||^2 per point and centroid, clamped at 0.
+    """(k, n): ||x||^2 - 2 x.c + ||c||^2 per centroid and point, clamped at 0.
 
     sq_norms holds ||x||^2 for the points, computed once by the caller.
-    The product is scaled by -2 in place; a power-of-two scale is exact,
-    so this equals (2 x) . c term by term.
+    The product goes into the transpose of a (k, n) buffer, out when
+    given; it holds the bits of points @ centroids.T, and each point is a
+    column, so reductions over the centroids run down axis 0.  The
+    product is scaled by -2 in place; a power-of-two scale is exact, so
+    this equals (2 x) . c term by term.
     """
-    d2 = points @ centroids.T
-    d2 *= -2.0
-    d2 += sq_norms[:, None]
-    d2 += (centroids * centroids).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0, out=d2)
+    if out is None:
+        out = np.empty((len(centroids), len(points)))
+    np.matmul(points, centroids.T, out=out.T)
+    out *= -2.0
+    out += sq_norms[None, :]
+    out += (centroids * centroids).sum(axis=1)[:, None]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _nearest(d2: np.ndarray, first_hit: np.ndarray) -> np.ndarray:
+    """Row of each column's minimum, ties to the lowest row, as argmin(axis=0).
+
+    first_hit is arange(k, 0, -1)[:, None]: the largest weight among the
+    rows that reach the minimum marks the first of them.
+    """
+    hits = (d2 == d2.min(axis=0)) * first_hit
+    return (len(d2) - hits.max(axis=0)).astype(np.intp)
+
+
+def squared_norms(points: np.ndarray) -> np.ndarray:
+    """||x||^2 of every row; its sqrt is np.linalg.norm(points, axis=1) bit for bit."""
+    return (points * points).sum(axis=1)
 
 
 def _member_sums(points: np.ndarray, into: np.ndarray, k: int, out_of=None) -> np.ndarray:
@@ -64,6 +84,7 @@ def kmeans(
     init: np.ndarray,
     max_iter: int = 100,
     tol: float = 1e-6,
+    sq_norms: np.ndarray | None = None,
 ) -> KMeansResult:
     """Lloyd iterations from an explicit k x d initialization.
 
@@ -89,6 +110,9 @@ def kmeans(
     assignment would empty a cluster, since the reseed needs every
     point's distance.  distance_rows counts the point rows sent through
     the distance product, the final assignment included.
+
+    sq_norms, when given, holds squared_norms(points).  The distances of
+    every pass go into one (k, n) buffer, a point per column.
     """
     points = np.asarray(points, dtype=np.float64)
     n, d = points.shape
@@ -100,8 +124,11 @@ def kmeans(
     if centroids.shape != (k, d):
         raise ValueError("init must be k x d")
 
-    sq_norms = (points * points).sum(axis=1)
+    if sq_norms is None:
+        sq_norms = squared_norms(points)
     rows = np.arange(n)
+    buf = np.empty((k, n))
+    first_hit = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))[:, None]
     # a computed squared distance lies within (2d + 4) eps (||x||^2 + ||c||^2)
     # of the exact one; twice that also covers the rounding of the test
     slack = 4.0 * (d + 2) * _EPS
@@ -130,12 +157,12 @@ def kmeans(
         return counts
 
     def set_bounds(at, d2, own, margin):
-        # bounds from computed rows d2 of the points at, assigned to own;
+        # bounds from computed columns d2 of the points at, assigned to own;
         # d2 is overwritten
-        picked = np.arange(len(at)), own
+        picked = own, rows[:len(at)]
         upper[at] = np.sqrt(d2[picked] + margin) * grow
         d2[picked] = math.inf
-        lower[at] = np.sqrt(np.maximum(d2.min(axis=1) - margin, 0.0)) * shrink
+        lower[at] = np.sqrt(np.maximum(d2.min(axis=0) - margin, 0.0)) * shrink
 
     for iterations in range(1, max_iter + 1):
         csq = (centroids * centroids).sum(axis=1)
@@ -146,23 +173,26 @@ def kmeans(
             # less twice the rounding error of the squared gap
             gap2 = _sq_distances(centroids, csq, centroids)
             np.fill_diagonal(gap2, math.inf)
-            half = 0.5 * np.sqrt(np.maximum(gap2.min(axis=1) - 2.0 * slack * csq.max(), 0.0))
+            half = 0.5 * np.sqrt(np.maximum(gap2.min(axis=0) - 2.0 * slack * csq.max(), 0.0))
             bound = np.maximum(lower, (2.0 * half[assignments] - upper) * shrink)
             np.maximum(bound, 0.0, out=bound)
             active = np.flatnonzero(upper * upper + 2.0 * margin >= bound * bound)
-            d2 = _sq_distances(points[active], sq_norms[active], centroids)
+            d2 = _sq_distances(
+                points[active], sq_norms[active], centroids,
+                out=buf.reshape(-1)[:k * len(active)].reshape(k, len(active)),
+            )
             distance_rows += len(active)
-            nearest = d2.argmin(axis=1)
+            nearest = _nearest(d2, first_hit)
             moving = nearest != assignments[active]
             moved, came, went = active[moving], nearest[moving], assignments[active][moving]
             new_counts = (counts + np.bincount(came, minlength=k)
                           - np.bincount(went, minlength=k))
             full = not new_counts.all()
         if full:
-            d2 = _sq_distances(points, sq_norms, centroids)
+            d2 = _sq_distances(points, sq_norms, centroids, out=buf)
             distance_rows += n
-            assignments = d2.argmin(axis=1)
-            point_d2 = d2[rows, assignments]
+            assignments = _nearest(d2, first_hit)
+            point_d2 = d2[assignments, rows]
             counts = reseed_empty(assignments, point_d2)
             sums = _member_sums(points, assignments, k)
             set_bounds(rows, d2, assignments, margin)
@@ -184,10 +214,10 @@ def kmeans(
         lower *= shrink
 
     # final assignment against the converged centroids
-    d2 = _sq_distances(points, sq_norms, centroids)
+    d2 = _sq_distances(points, sq_norms, centroids, out=buf)
     distance_rows += n
-    assignments = d2.argmin(axis=1)
-    point_d2 = d2[rows, assignments]
+    assignments = _nearest(d2, first_hit)
+    point_d2 = d2[assignments, rows]
     counts = np.bincount(assignments, minlength=k)
     if (counts == 0).any():
         reseed_empty(assignments, point_d2)
@@ -195,28 +225,31 @@ def kmeans(
             members = assignments == j
             if members.any():
                 centroids[j] = points[members].mean(axis=0)
-        d2 = _sq_distances(points, sq_norms, centroids)
+        d2 = _sq_distances(points, sq_norms, centroids, out=buf)
         distance_rows += n
-        point_d2 = d2[rows, assignments]
+        point_d2 = d2[assignments, rows]
     inertia = float(point_d2.sum())
     return KMeansResult(centroids, assignments, inertia, iterations, distance_rows)
 
 
-def farthest_first_init(points: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
+def farthest_first_init(
+    points: np.ndarray, k: int, rng: SplitMix64, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """k seed centroids: one point from rng, then greedy farthest points.
 
     Distances come from _sq_distances with the squared norms computed
-    once.  Ties resolve to the lowest point index so the choice
-    is reproducible.
+    once, or taken from sq_norms (squared_norms(points)) when given.
+    Ties resolve to the lowest point index so the choice is reproducible.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if k > n:
         raise ValueError(f"k={k} exceeds point count {n}")
-    sq_norms = (points * points).sum(axis=1)
+    if sq_norms is None:
+        sq_norms = squared_norms(points)
 
     def sq_dist_to(p: int) -> np.ndarray:
-        return _sq_distances(points, sq_norms, points[p:p + 1])[:, 0]
+        return _sq_distances(points, sq_norms, points[p:p + 1])[0]
 
     chosen = [rng.randint(n)]
     min_d2 = sq_dist_to(chosen[0])
@@ -332,10 +365,13 @@ def cholesky(sigma: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(_pivot_of_failure(sigma)) from None
 
 
-def unit_rows(a: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm; zero rows stay zero."""
+def unit_rows(a: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
+    """Rows scaled to unit L2 norm; zero rows stay zero.
+
+    sq_norms, when given, holds squared_norms(a).
+    """
     a = np.asarray(a, dtype=np.float64)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
+    norms = np.sqrt(squared_norms(a) if sq_norms is None else sq_norms)[:, None]
     safe = np.where(norms == 0.0, 1.0, norms)
     return a / safe
 

@@ -5,7 +5,8 @@ class prototypes are row indices into it.  A query's pattern against a
 class concatenates one block per prototype image: for every position of
 that image, the best cosine over the query's positions.  Its score is
 the pattern's mean.  score_set pools one block per (query set,
-prototype image) pair with one matrix product and keeps the blocks in a
+prototype image) pair, the misses of a table in as few matrix products
+as a bound on their temporary allows, and keeps the blocks in a
 PooledBlocks cache, so a prototype image is never pooled twice against
 the same query set.
 """
@@ -40,31 +41,54 @@ class PooledBlocks:
     (Q, S) max-pooled cosine pattern of every query against that image.
     It is computed the first time a class group holds the row and kept
     for the life of the cache; later groups only gather it.  The query
-    rows are normalised once, on the first miss.
+    rows are normalised once, on the first miss, and a query image
+    promoted to a prototype reuses its normalised rows.
     """
 
     def __init__(self, stack: np.ndarray, query_rows: Sequence[int]):
         self.stack = stack
         self.query_rows = np.asarray(query_rows, dtype=np.intp)
         self._q_unit: np.ndarray | None = None
+        self._q_pos = {int(r): i for i, r in enumerate(self.query_rows)}
         self._blocks: dict[int, np.ndarray] = {}
 
+    def pool(self, classes: Sequence[Sequence[int]]) -> None:
+        """Pool every image of the class groups that the cache misses.
+
+        Consecutive groups share one product while its (Q * S, m * S)
+        similarity temporary holds no more elements than the stack.  A
+        group is never split, so a group past that bound gets a product
+        of its own, the one it would get alone.
+        """
+        per_image = len(self.query_rows) * self.stack.shape[1] ** 2
+        batch: dict[int, None] = {}
+        for group in classes:
+            misses = [r for r in dict.fromkeys(int(r) for r in group)
+                      if r not in self._blocks and r not in batch]
+            if batch and (len(batch) + len(misses)) * per_image > self.stack.size:
+                self._pool(list(batch))
+                batch = {}
+            batch.update(dict.fromkeys(misses))
+        if batch:
+            self._pool(list(batch))
+
     def class_pattern(self, rows: Sequence[int]) -> np.ndarray:
-        """(Q, L) patterns of every query against one class's images."""
-        rows = [int(r) for r in rows]
-        misses = [r for r in dict.fromkeys(rows) if r not in self._blocks]
-        if misses:
-            self._pool(misses)
-        return np.concatenate([self._blocks[r] for r in rows], axis=1)
+        """(Q, L) patterns of every query against one class's images,
+        all of them pooled already."""
+        return np.concatenate([self._blocks[int(r)] for r in rows], axis=1)
 
     def _pool(self, rows: list[int]) -> None:
         """One product of the query rows with the images' unit rows."""
         channels = self.stack.shape[2]
+        n_q, s = len(self.query_rows), self.stack.shape[1]
         if self._q_unit is None:
             queries = take_rows(self.stack, self.query_rows)
             self._q_unit = unit_rows(queries.reshape(-1, channels))
-        n_q, s = len(self.query_rows), self.stack.shape[1]
-        s_unit = unit_rows(self.stack[rows].reshape(-1, channels))
+        at = [self._q_pos.get(r) for r in rows]
+        if None in at:
+            s_unit = unit_rows(self.stack[rows].reshape(-1, channels))
+        else:  # promoted query images: unit_rows is row-wise, so these are its bits
+            s_unit = self._q_unit.reshape(n_q, s, channels)[at].reshape(-1, channels)
         sims = (self._q_unit @ s_unit.T).reshape(n_q, s, len(rows), s)
         # clip is monotone, so clipping the pooled maxima equals pooling
         # the clipped cosines
@@ -101,8 +125,10 @@ def score_set(blocks: PooledBlocks, classes: Sequence[Sequence[int]]) -> ScoreTa
     classes holds the stack rows of each class's prototype images.  A
     score is the mean of the pattern vector, so scores do not depend on
     the resolution.  Images the cache already holds are not pooled
-    again.
+    again; the misses of the whole table are pooled first, in as few
+    products as PooledBlocks.pool's bound allows.
     """
+    blocks.pool(classes)
     patterns = [blocks.class_pattern(group) for group in classes]
     scores = np.column_stack([p.mean(axis=1) for p in patterns])
     return ScoreTable(scores, patterns)

@@ -21,6 +21,7 @@ from .numkit import (
     kmeans,
     min_cost_assignment,
     softmax,
+    squared_norms,
     unit_rows,
 )
 from .rng import SplitMix64
@@ -46,6 +47,16 @@ def select_cluster_count(
     tau_rel.  A value that reaches tau_rel * sigma_1 counts; at an exact
     tie last-bit rounding decides, and the Gram and SVD routes may
     decide it differently, one count apart.
+
+    The Gram is formed as X^T X - n mu mu^T, without a centered copy of
+    the n x d locals.  X^T X rounds at about eps sqrt(n) n |mu|^2, and
+    the subtraction leaves that in the spectrum: with a common offset
+    |mu| of 1e4 times the spread of the top direction, a ratio at
+    tau_rel = 0.02 moved by up to 1e-6 (7e-9 at 1e3).  So when n |mu|^2
+    exceeds 1e5 times the centered sum of squares (the Gram's trace), an
+    offset past about 300 spreads, the Gram is formed from the centered
+    copy instead; that also covers rows that are all equal, whose
+    uncentered Gram is rounding noise rather than zero.
     """
     if not 0.0 < tau_rel < 1.0:
         raise ValueError("tau_rel must lie in (0, 1)")
@@ -54,10 +65,18 @@ def select_cluster_count(
     locals_matrix = np.asarray(locals_matrix, dtype=np.float64)
     if locals_matrix.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    centered = locals_matrix - locals_matrix.mean(axis=0)
-    if not np.isfinite(centered).all():
+    mu = locals_matrix.mean(axis=0)
+    gram = locals_matrix.T @ locals_matrix
+    gram -= len(locals_matrix) * np.outer(mu, mu)
+    if not np.trace(gram) * 1e5 >= len(locals_matrix) * (mu @ mu):  # or not finite
+        centered = locals_matrix - mu
+        gram = centered.T @ centered
+    # a non-finite entry makes the test above fail; the centered Gram's
+    # diagonal then sums the squared entries, so short of overflow (|x|
+    # near 1e150) the Gram is finite exactly when the locals are
+    if not np.isfinite(gram).all():
         raise ValueError("matrix contains non-finite entries")
-    eig = np.linalg.eigvalsh(centered.T @ centered)  # ascending
+    eig = np.linalg.eigvalsh(gram)  # ascending
     sv = np.sqrt(np.maximum(eig[::-1], 0.0))
     # the largest |entry| without an |x| temporary of the whole matrix
     scale = (
@@ -110,13 +129,16 @@ def cluster_task(
     query_locals: np.ndarray,
     k: int,
     warm: np.ndarray | None = None,
+    sq_norms: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Cluster the two local-feature pools separately and merge.
 
     Each side runs K-means from a farthest-first initialization (fused
     with the warm (k, d) centroids, when given); the two k-centroid sets
     are paired one-to-one by cosine and averaged into the task centroids,
-    a (k, d) float64 array with k >= 2 and no zero row.
+    a (k, d) float64 array with k >= 2 and no zero row.  sq_norms, when
+    given, holds the squared_norms of the two pools; initialization and
+    K-means of a side share them.
     """
     support_locals = np.asarray(support_locals, dtype=np.float64)
     query_locals = np.asarray(query_locals, dtype=np.float64)
@@ -125,31 +147,41 @@ def cluster_task(
     if support_locals.shape[0] < k or query_locals.shape[0] < k:
         raise ValueError(f"both local pools need at least k={k} rows")
 
-    def side(points: np.ndarray) -> np.ndarray:
-        init = farthest_first_init(points, k, SplitMix64(_INIT_SEED))
+    if sq_norms is None:
+        sq_norms = squared_norms(support_locals), squared_norms(query_locals)
+
+    def side(points: np.ndarray, norms: np.ndarray) -> np.ndarray:
+        init = farthest_first_init(points, k, SplitMix64(_INIT_SEED), sq_norms=norms)
         if warm is not None:
             init = fuse_centroids(init, warm)
-        return kmeans(points, k, init).centroids
+        return kmeans(points, k, init, sq_norms=norms).centroids
 
-    merged = _merge_match_average(side(support_locals), side(query_locals))
+    merged = _merge_match_average(
+        side(support_locals, sq_norms[0]), side(query_locals, sq_norms[1])
+    )
     if (np.linalg.norm(merged, axis=1) == 0.0).any():
         raise ValueError("centroid rows must be non-zero")
     return merged
 
 
-def semantic_map(images: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def semantic_map(
+    images: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray | None = None
+) -> np.ndarray:
     """Per-position cosine of each local vector against each centroid.
 
     images is one (h, w, d) image or a stack (n, h, w, d) and centroids a
     (k, d) array; the output keeps the leading axes with the centroids as
-    the last one.  A stack costs one matrix product.
+    the last one.  A stack costs one matrix product.  sq_norms, when
+    given, holds the squared_norms of the local vectors in row-major
+    order; the result equals cosine_matrix's bit for bit either way.
     """
     images = np.asarray(images, dtype=np.float64)
     k, d = np.shape(centroids)
     if images.shape[-1] != d:
         raise ValueError(f"local dim {images.shape[-1]} does not match centroid dim {d}")
-    cos = cosine_matrix(images.reshape(-1, d), centroids)
-    return cos.reshape(*images.shape[:-1], k)
+    flat = images.reshape(-1, d)
+    cos = unit_rows(flat, sq_norms) @ unit_rows(centroids).T
+    return np.clip(cos, -1.0, 1.0, out=cos).reshape(*images.shape[:-1], k)
 
 
 def block_split_concat(cosine_grid: np.ndarray) -> np.ndarray:

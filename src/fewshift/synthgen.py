@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .feature_store import Episode
 from .rng import SplitMix64, unit_floats
 
@@ -58,6 +58,7 @@ class SynthConfig:
     distractor_rate: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("n_way", "k_shot", "n_query", "height", "width",
                      "channels", "parts_per_class"):
             if getattr(self, name) < 1:

@@ -137,6 +137,33 @@ class TestEval:
         assert f"'{next(iter(retired))}'" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("use_catt", "false"), ("self_training", 0), ("lambda_sfa", "0.1"),
+        ("lambda_spa", True), ("lambda_clm", None),
+    ])
+    def test_mistyped_pipeline_field_exits_2(self, tmp_path, synth_config, capsys, field, value):
+        # "false" is truthy: kept as a string it would switch the chain on
+        pipeline = tmp_path / "pipe.json"
+        pipeline.write_text(json.dumps({field: value}))
+        code = main(["eval", "--synth", str(synth_config), "--tasks", "1",
+                     "--pipeline", str(pipeline), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_way", "5"), ("n_way", True), ("seed", 1.5), ("k_shot", 2.0),
+        ("pixel_noise", "0.1"), ("shift_strength", False), ("episodes", 2.7),
+        ("episodes", "2"), ("episodes", True),
+    ])
+    def test_mistyped_synth_field_exits_2(self, tmp_path, capsys, field, value):
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps({**SYNTH, "episodes": 2, field: value}))
+        code = main(["eval", "--synth", str(synth), "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_seed_override_reproducible(self, tmp_path, synth_config):
         outs = []
         for name in ("s1.csv", "s2.csv"):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewshift.engine import PipelineConfig, embed_episode
 from fewshift.patterns import PooledBlocks, cross_entropy, score_set, take_rows
+from fewshift.selftrain import promote_and_reclassify
 from fewshift.synthgen import SynthConfig, generate_episode
 
 from oracles import (
@@ -299,6 +301,61 @@ class TestPooledBlocks:
         table = score_set(PooledBlocks(stack, [query]), [[other], [query], [query], [other]])
         pos, neg = table.top2()
         assert (pos[0], neg[0]) == (1, 2)
+
+
+class PerGroup(PooledBlocks):
+    """The cache pooling one product per class group, as before a table's
+    misses were pooled together, and normalising a promoted query image
+    from the stack rather than reusing the query set's unit rows."""
+
+    def __init__(self, stack, query_rows):
+        super().__init__(stack, query_rows)
+        self._q_pos = {}
+
+    def pool(self, classes):
+        for group in classes:
+            super().pool([group])
+
+
+@pytest.mark.parametrize("feature_mode", ["semantic", "raw_local"])
+@pytest.mark.parametrize("k_shot", [1, 3])
+def test_batched_pooling_equals_per_group_pooling(monkeypatch, feature_mode, k_shot):
+    # the acceptance stream's first episode, both query sets, self-training
+    # rounds included: the tables are bit-identical, no product's
+    # similarity temporary exceeds the stack or the largest single group's,
+    # and raw locals, whose groups each fill the bound, keep every product
+    ep, _ = generate_episode(SynthConfig(
+        seed=20230, k_shot=k_shot, pixel_noise=0.15, shift_strength=0.6, distractor_rate=0.2,
+    ))
+    stack = embed_episode(ep, PipelineConfig(feature_mode=feature_mode)).stack
+    real = PooledBlocks._pool
+    products = []  # similarity elements of each product
+
+    def recording(self, rows):
+        products.append(len(self.query_rows) * self.stack.shape[1] ** 2 * len(rows))
+        return real(self, rows)
+
+    monkeypatch.setattr(PooledBlocks, "_pool", recording)
+    runs = {}
+    for cache in (PerGroup, PooledBlocks):
+        products.clear()
+        tables = []
+        for rows in (ep.qs_rows, ep.qt_rows):
+            blocks = cache(stack, rows)
+            tables.append(score_set(blocks, ep.support_rows))
+            result = promote_and_reclassify(blocks, ep.support_rows)
+            tables.append(result.table)
+        runs[cache] = tables, list(products)
+    (want, per_group), (got, batched) = runs[PerGroup], runs[PooledBlocks]
+    for a, b in zip(got, want, strict=True):
+        assert np.array_equal(a.scores, b.scores)
+        assert all(np.array_equal(x, y) for x, y in zip(a.patterns, b.patterns, strict=True))
+    assert max(batched) <= max(stack.size, max(per_group))
+    if feature_mode == "raw_local":
+        assert batched == per_group
+    else:
+        assert len(batched) < len(per_group)
+        assert result.rounds_used >= 1  # target queries were promoted and pooled
 
 
 class TestClassificationLoss:

@@ -11,10 +11,11 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_chain_full_runs_correct():
+@pytest.mark.parametrize("workload", ["chain-full", "raw-threads", "disk-baseline"])
+def test_workload_runs_correct(workload):
     pytest.importorskip("scipy")  # the benchmark imports it
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "chain-full", "--seconds", "0.01"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.01"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

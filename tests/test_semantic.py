@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans
+from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans, squared_norms
 from fewshift.rng import SplitMix64
 from fewshift.semantic import (
     block_split_concat,
@@ -119,6 +119,52 @@ def test_gram_count_near_threshold(seed, tau_rel, above, below, side, sigma1):
     assert select_cluster_count(m, tau_rel, 1, 64) == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(20, 400),
+    tau_rel=st.floats(0.02, 0.9),
+    above=st.integers(0, 5),
+    below=st.integers(0, 5),
+    near=st.sampled_from([None, 2e-6, -2e-6, 1e-5, -1e-5]),
+    offset_exp=st.floats(-1.0, 5.0),
+    sigma1=st.floats(1e-3, 1e3),
+)
+def test_gram_count_matches_centred_svd_near_threshold_and_offset(
+    seed, n, tau_rel, above, below, near, offset_exp, sigma1
+):
+    """The fragile spot of the uncentered Gram X^T X - n mu mu^T: a
+    singular-value ratio a little off tau_rel, under a common offset up to
+    1e5 times the spread sigma_1 / sqrt(n) of the top direction.  Whenever
+    no ratio of the centered SVD lies within 1e-6 of tau_rel, the count
+    equals that SVD's."""
+    rng = np.random.default_rng(seed)
+    thresh = tau_rel * sigma1
+    spectrum = [sigma1, *rng.uniform(thresh * 1.01, sigma1, size=above),
+                *rng.uniform(0.0, thresh * 0.99, size=below)]
+    if near is not None:
+        spectrum.append(sigma1 * (tau_rel + near))
+    m = matrix_with_spectrum(rng, n, 16, np.sort(spectrum)[::-1])
+    direction = rng.normal(size=16)
+    m += direction * (10.0**offset_exp * sigma1 / math.sqrt(n) / np.linalg.norm(direction))
+    sv = singular_values(m - m.mean(axis=0))
+    assume(np.abs(sv / sv[0] - tau_rel).min() > 1e-6)
+    assert select_cluster_count(m, tau_rel, 1, 64) == svd_cluster_count(m, tau_rel, 1, 64)
+
+
+def test_large_offset_keeps_the_count():
+    """At a common offset of 1e5 spreads an uncentered Gram moves a ratio
+    at tau_rel = 0.02 by about 5e-5, so a value 2e-6 below the threshold
+    would count on most of these seeds; the count must stay the SVD's."""
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        m = matrix_with_spectrum(rng, 400, 16, [1.0, 0.5, 0.1, 0.02 - 2e-6, 0.01])
+        direction = rng.normal(size=16)
+        m += direction * (1e5 / math.sqrt(400) / np.linalg.norm(direction))
+        assert svd_cluster_count(m, 0.02, 1, 64) == 3
+        assert select_cluster_count(m, 0.02, 1, 64) == 3
+
+
 def test_exact_tie_counts_within_rounding():
     """At sigma_i == tau_rel * sigma_1 exactly (in the construction) the
     computed values differ from the tie by last-bit rounding, and that
@@ -223,6 +269,36 @@ class TestClusterTask:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             cluster_task(np.zeros((2, 3)), np.zeros((10, 3)), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    side=st.integers(1, 5),
+    d=st.integers(2, 24),
+    k=st.integers(2, 6),
+    zero_rows=st.booleans(),
+)
+def test_passed_norms_give_the_cosine_matrix_bits(seed, n, side, d, k, zero_rows):
+    # float32-valued locals as the engine embeds them, a zero local among
+    # them; the map and the clustering given the squared norms equal the
+    # cosine_matrix path and the calls that compute their own
+    rng = np.random.default_rng(seed)
+    images = rng.normal(size=(n, side, side, d)).astype(np.float32).astype(np.float64)
+    if zero_rows:
+        images[0, 0, 0] = 0.0
+    flat = images.reshape(-1, d)
+    cents = rng.normal(size=(k, d))
+    norms = squared_norms(flat)
+    want = cosine_matrix(flat, cents).reshape(n, side, side, k)
+    assert np.array_equal(semantic_map(images, cents, norms), want)
+    assert np.array_equal(semantic_map(images, cents), want)
+    split = len(flat) // 2
+    if min(split, len(flat) - split) >= 2:
+        pools = flat[:split], flat[split:]
+        got = cluster_task(*pools, 2, sq_norms=(norms[:split], norms[split:]))
+        assert np.array_equal(got, cluster_task(*pools, 2))
 
 
 class TestSemanticMap:
