@@ -7,7 +7,6 @@ self-training in the target domain, and Gaussian-KL alignment losses.
 """
 
 from .engine import (
-    AblationRow,
     EpisodeReport,
     ManifestTaskStream,
     PipelineConfig,
@@ -32,7 +31,6 @@ from .feature_store import (
 from .synthgen import SynthConfig, generate_episode, make_transform
 
 __all__ = [
-    "AblationRow",
     "Episode",
     "EpisodeManifest",
     "EpisodeReport",

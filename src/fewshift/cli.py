@@ -10,7 +10,6 @@ or config error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -26,15 +25,16 @@ from .engine import (
     evaluate,
     run_episode,
 )
-from .errors import ConfigError
+from .errors import ConfigError, read_config
 from .feature_store import save_episode, write_tensor_file
+from .patterns import PooledBlocks, score_set
 from .synthgen import SynthConfig
 
 DUMP_STAGES = ("centroids", "semantic", "patterns", "scores")
 
 
 def _load_synth_config(path: str, seed_override: int | None) -> tuple[SynthConfig, int]:
-    raw = json.loads(Path(path).read_text())
+    raw = read_config(path)
     episodes = raw.pop("episodes", 1)
     if not isinstance(episodes, int) or isinstance(episodes, bool):
         raise ConfigError("episodes", f"must be an integer, got {episodes!r}")
@@ -51,9 +51,7 @@ def _pipeline_config(args) -> PipelineConfig:
 
 def _manifest_paths(episodes_dir: str) -> list[Path]:
     root = Path(episodes_dir)
-    paths = sorted(root.glob("*/manifest.json"))
-    if not paths:
-        paths = sorted(root.glob("manifest*.json"))
+    paths = sorted(root.glob("*/manifest.json")) or sorted(root.glob("manifest*.json"))
     if not paths:
         raise FileNotFoundError(f"no manifests under {root}")
     return paths
@@ -62,7 +60,6 @@ def _manifest_paths(episodes_dir: str) -> list[Path]:
 def cmd_gen(args) -> int:
     base, episodes = _load_synth_config(args.config, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stream = SyntheticTaskStream(base)
     for i in range(episodes):
         _, episode = stream.episode(i)
@@ -71,16 +68,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _single_episode(args):
-    if args.synth:
-        base, _ = _load_synth_config(args.synth, args.seed)
-        return SyntheticTaskStream(base).episode(0)
-    return ManifestTaskStream([args.episode]).episode(0)
-
-
 def cmd_run(args) -> int:
     cfg = _pipeline_config(args)
-    eid, episode = _single_episode(args)
+    if args.synth:
+        stream = SyntheticTaskStream(_load_synth_config(args.synth, args.seed)[0])
+    else:
+        stream = ManifestTaskStream([args.episode])
+    eid, episode = stream.episode(0)
     report = run_episode(episode, cfg, episode_id=eid)
     print(f"episode {report.episode_id}: accuracy {report.accuracy:.4f}")
     print(
@@ -114,18 +108,8 @@ def cmd_eval(args) -> int:
 
 
 def _parse_grid(text: str) -> list[set[str]]:
-    grid = []
-    for token in text.split(","):
-        token = token.strip()
-        if token in ("", "none", "baseline"):
-            grid.append(set())
-            continue
-        toggles = set(token.split("+"))
-        unknown = toggles - set(engine.TOGGLES)
-        if unknown:
-            raise ConfigError("grid", f"unknown toggle '{sorted(unknown)[0]}'")
-        grid.append(toggles)
-    return grid
+    tokens = [token.strip() for token in text.split(",")]
+    return [set() if t in ("", "none", "baseline") else set(t.split("+")) for t in tokens]
 
 
 def cmd_ablate(args) -> int:
@@ -133,15 +117,15 @@ def cmd_ablate(args) -> int:
     base, episodes = _load_synth_config(args.synth, args.seed)
     n_tasks = args.tasks or episodes
     grid = _parse_grid(args.grid)
-    rows = ablate(cfg, grid, SyntheticTaskStream(base), n_tasks, args.threads)
+    reports = ablate(cfg, grid, SyntheticTaskStream(base), n_tasks, args.threads)
+    rows = list(zip(map(engine.row_label, grid), reports))
     lines = ["variant,mean_accuracy,ci95"]
-    for row in rows:
-        lines.append(f"{row.label()},{row.report.mean_accuracy!r},{row.report.ci95!r}")
+    lines += [f"{label},{r.mean_accuracy!r},{r.ci95!r}" for label, r in rows]
     table = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(table)
     print(table, end="")
-    failed = [(row.label(), fail) for row in rows for fail in row.report.failures]
+    failed = [(label, fail) for label, report in rows for fail in report.failures]
     for label, (eid, err) in failed:
         print(f"{label}: episode {eid} failed: {err}", file=sys.stderr)
     return 1 if failed else 0
@@ -180,8 +164,6 @@ def cmd_dump(args) -> int:
             write_tensor_file(grid.astype(np.float32), out / f"semantic_{name}.ftns")
         print(f"wrote {len(names)} semantic maps")
         return 0
-
-    from .patterns import PooledBlocks, score_set
 
     for prefix, rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
         table = score_set(PooledBlocks(emb.stack, rows), episode.support_rows)

@@ -29,7 +29,7 @@ from typing import NamedTuple, Protocol, Sequence
 import numpy as np
 
 from . import alignment, patterns, selftrain, semantic
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, read_config, require_object
 from .feature_store import Episode, EpisodeManifest, load_episode
 from .numkit import squared_norms
 from .rng import derive_seed
@@ -62,14 +62,14 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(require_object(raw, cls.__name__)) - known
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
         return cls(**raw)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(read_config(path))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -287,9 +287,8 @@ class RunReport:
             f"mean_accuracy: {self.mean_accuracy:.4f}",
             f"ci95_half_width: {self.ci95:.4f}",
             f"fingerprint: {self.fingerprint}",
+            f"failures: {len(self.failures)} of {len(self.reports) + len(self.failures)}",
         ]
-        attempted = len(self.reports) + len(self.failures)
-        lines.append(f"failures: {len(self.failures)} of {attempted}")
         return "\n".join(lines) + "\n"
 
 
@@ -327,7 +326,8 @@ def evaluate(
 
     With the centroid warm start enabled the episodes are serialized so
     each task can inherit the previous task's centroids; otherwise the
-    episodes are independent and may fan out over threads.
+    episodes are independent and may fan out over threads.  Failed
+    episodes stay in failures; if all fail, the mean and CI are nan.
     """
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
@@ -360,14 +360,10 @@ def evaluate(
     done = [report for report, _ in outcomes if report is not None]
     failures = [fail for _, fail in outcomes if fail is not None]
     if not done:
-        raise RuntimeError("every episode failed")
+        return RunReport(done, math.nan, math.nan, fingerprint, failures)
     accs = np.array([r.accuracy for r in done])
     mean = float(accs.mean())
-    ci = (
-        1.96 * float(accs.std(ddof=1)) / math.sqrt(len(accs))
-        if len(accs) > 1
-        else 0.0
-    )
+    ci = 1.96 * float(accs.std(ddof=1)) / math.sqrt(len(accs)) if len(accs) > 1 else 0.0
     return RunReport(done, mean, ci, fingerprint, failures)
 
 
@@ -411,7 +407,7 @@ def config_for_toggles(base: PipelineConfig, toggles: set[str]) -> PipelineConfi
     """Map an ablation row's module toggles onto a config."""
     unknown = toggles - set(TOGGLES)
     if unknown:
-        raise ValueError(f"unknown toggles {sorted(unknown)}")
+        raise ConfigError("grid", f"unknown toggle '{sorted(unknown)[0]}'")
     return replace(
         base,
         feature_mode="semantic" if "tse" in toggles else "raw_local",
@@ -420,13 +416,9 @@ def config_for_toggles(base: PipelineConfig, toggles: set[str]) -> PipelineConfi
     )
 
 
-@dataclass
-class AblationRow:
-    toggles: frozenset[str]
-    report: RunReport
-
-    def label(self) -> str:
-        return "+".join(t for t in TOGGLES if t in self.toggles) or "baseline"
+def row_label(toggles: set[str]) -> str:
+    """An ablation row's name: its toggles in TOGGLES order, or baseline."""
+    return "+".join(t for t in TOGGLES if t in toggles) or "baseline"
 
 
 def ablate(
@@ -435,19 +427,20 @@ def ablate(
     stream: TaskStream,
     n_tasks: int,
     threads: int = 1,
-) -> list[AblationRow]:
+) -> list[RunReport]:
     """Evaluate every toggle set on identical episodes (paired design).
 
-    The pairing is asserted: an episode several rows ran has one content
-    hash in all of them.  Failed episodes stay in each row's failures.
+    One RunReport per grid row, in grid order; every config is built
+    before any row runs.  The pairing is asserted: an episode several
+    rows ran has one content hash in all of them.  Failed episodes stay
+    in each row's failures, even when they are all of its episodes.
     """
-    rows = []
+    configs = [config_for_toggles(base, set(toggles)) for toggles in grid]
+    reports = []
     hashes: dict[str, str] = {}
-    for toggles in grid:
-        cfg = config_for_toggles(base, set(toggles))
-        report = evaluate(stream, n_tasks, cfg, threads)
-        rows.append(AblationRow(frozenset(toggles), report))
-        for r in report.reports:
+    for cfg in configs:
+        reports.append(evaluate(stream, n_tasks, cfg, threads))
+        for r in reports[-1].reports:
             if hashes.setdefault(r.episode_id, r.episode_hash) != r.episode_hash:
                 raise AssertionError(f"ablation variants differ at episode {r.episode_id}")
-    return rows
+    return reports

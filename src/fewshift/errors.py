@@ -1,22 +1,40 @@
-"""Exception types shared across the package, and the type check of
-config dataclasses that raises ConfigError."""
+"""Exception types shared across the package, and the config-file
+reader and type check of config dataclasses that raise ConfigError."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import fields
+from pathlib import Path
 
 
 class FewshiftError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(FewshiftError):
+class ConfigError(FewshiftError, ValueError):
     """Invalid configuration value; carries the offending field name."""
 
     def __init__(self, field: str, message: str):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+def require_object(raw, name: str) -> dict:
+    """raw when it is a JSON object (a dict), else a ConfigError for name."""
+    if not isinstance(raw, dict):
+        raise ConfigError(name, f"must be a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object a config file holds, else a ConfigError naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(str(path), f"not valid JSON: {exc}") from None
+    return require_object(raw, str(path))
 
 
 def check_field_types(config) -> None:

@@ -41,15 +41,15 @@ class PooledBlocks:
     (Q, S) max-pooled cosine pattern of every query against that image.
     It is computed the first time a class group holds the row and kept
     for the life of the cache; later groups only gather it.  The query
-    rows are normalised once, on the first miss, and a query image
-    promoted to a prototype reuses its normalised rows.
+    rows are normalised once, on the first miss; a prototype image's
+    rows, a promoted query image's included, are normalised from the
+    stack when it is pooled.
     """
 
     def __init__(self, stack: np.ndarray, query_rows: Sequence[int]):
         self.stack = stack
         self.query_rows = np.asarray(query_rows, dtype=np.intp)
         self._q_unit: np.ndarray | None = None
-        self._q_pos = {int(r): i for i, r in enumerate(self.query_rows)}
         self._blocks: dict[int, np.ndarray] = {}
 
     def pool(self, classes: Sequence[Sequence[int]]) -> None:
@@ -79,16 +79,11 @@ class PooledBlocks:
 
     def _pool(self, rows: list[int]) -> None:
         """One product of the query rows with the images' unit rows."""
-        channels = self.stack.shape[2]
-        n_q, s = len(self.query_rows), self.stack.shape[1]
+        n_q, s, channels = len(self.query_rows), *self.stack.shape[1:]
         if self._q_unit is None:
             queries = take_rows(self.stack, self.query_rows)
             self._q_unit = unit_rows(queries.reshape(-1, channels))
-        at = [self._q_pos.get(r) for r in rows]
-        if None in at:
-            s_unit = unit_rows(self.stack[rows].reshape(-1, channels))
-        else:  # promoted query images: unit_rows is row-wise, so these are its bits
-            s_unit = self._q_unit.reshape(n_q, s, channels)[at].reshape(-1, channels)
+        s_unit = unit_rows(self.stack[rows].reshape(-1, channels))
         sims = (self._q_unit @ s_unit.T).reshape(n_q, s, len(rows), s)
         # clip is monotone, so clipping the pooled maxima equals pooling
         # the clipped cosines

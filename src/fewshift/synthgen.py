@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, require_object
 from .feature_store import Episode
 from .rng import SplitMix64, unit_floats
 
@@ -77,7 +77,7 @@ class SynthConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "SynthConfig":
         known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(require_object(raw, cls.__name__)) - known
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown field")
         if "seed" not in raw:

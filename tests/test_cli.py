@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fewshift
 from fewshift import cli
 from fewshift.cli import main
 from fewshift.engine import SyntheticTaskStream
@@ -164,6 +169,60 @@ class TestEval:
         assert f"'{field}'" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--synth", "--pipeline"], ids=["synth", "pipeline"])
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "must be a JSON object, got list"),
+        ('"abc"', "must be a JSON object, got str"),
+        ("null", "must be a JSON object, got NoneType"),
+        ('{"seed": 1,', "not valid JSON"),
+    ], ids=["list", "string", "null", "truncated"])
+    def test_config_not_an_object_exits_2(self, tmp_path, synth_config, capsys,
+                                          flag, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        synth = bad if flag == "--synth" else synth_config
+        argv = ["eval", "--synth", str(synth), "--tasks", "1", "--out", str(tmp_path / "r.csv")]
+        if flag == "--pipeline":
+            argv += ["--pipeline", str(bad)]
+        assert main(argv) == 2
+        assert f"error: config field '{bad}': {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_zero_episodes_exits_2(self, tmp_path, capsys):
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps({**SYNTH, "episodes": 0}))
+        assert main(["eval", "--synth", str(synth), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "config field 'episodes': must be >= 1" in capsys.readouterr().err
+
+    def test_directory_without_manifests_exits_2(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
+        code = main(["eval", "--episodes", str(tmp_path / "empty"),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert f"error: no manifests under {tmp_path / 'empty'}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_single_episode_directory(self, tmp_path, episodes_dir):
+        # no */manifest.json below it, so its own manifest*.json files run
+        out = tmp_path / "one.csv"
+        assert main(["eval", "--episodes", str(episodes_dir / "episode_001"),
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("episode_001,")
+
+    def test_every_episode_failed_exits_1(self, tmp_path, capsys):
+        synth = tmp_path / "one_class.json"
+        synth.write_text(json.dumps({**SYNTH, "n_way": 1, "episodes": 3}))
+        out = tmp_path / "r.csv"
+        assert main(["eval", "--synth", str(synth), "--out", str(out)]) == 1
+        assert out.read_text().startswith("episode_id,") and out.read_text().count("\n") == 1
+        summary = out.with_suffix(".summary.txt").read_text()
+        assert "episodes: 0\n" in summary and "failures: 3 of 3\n" in summary
+        err = capsys.readouterr().err
+        for i in range(3):
+            assert (f"episode synth000{i} failed: "
+                    "ValueError('need at least 2 classes to rank')") in err
+
     def test_seed_override_reproducible(self, tmp_path, synth_config):
         outs = []
         for name in ("s1.csv", "s2.csv"):
@@ -219,6 +278,27 @@ class TestAblate:
         assert [line.split(",")[0] for line in out.read_text().strip().split("\n")] == [
             "variant", "tse", "baseline"]
         err = capsys.readouterr().err
+        assert "tse: episode synth0001 failed: ValueError" in err
+        assert "baseline: episode" not in err
+
+    def test_all_failed_row_stays_in_the_table(self, tmp_path, synth_config, capsys,
+                                               monkeypatch):
+        class AllZero(SyntheticTaskStream):
+            def episode(self, index):  # no semantic centroids for any episode
+                eid, ep = super().episode(index)
+                return eid, Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
+                                    ep.query_source_labels, ep.scoring_labels())
+
+        monkeypatch.setattr(cli, "SyntheticTaskStream", AllZero)
+        out = tmp_path / "ablation.csv"
+        code = main(["ablate", "--synth", str(synth_config), "--tasks", "2",
+                     "--grid", "tse,baseline", "--out", str(out)])
+        assert code == 1
+        lines = out.read_text().strip().split("\n")
+        assert lines[1] == "tse,nan,nan"
+        assert lines[2].startswith("baseline,") and "nan" not in lines[2]
+        err = capsys.readouterr().err
+        assert "tse: episode synth0000 failed: ValueError" in err
         assert "tse: episode synth0001 failed: ValueError" in err
         assert "baseline: episode" not in err
 
@@ -290,12 +370,32 @@ class TestDump:
         cents = read_tensor_file(out / "centroids.ftns")
         assert cents.shape[1] == 32
 
+    def test_raw_local_centroids_exit_2(self, tmp_path, episodes_dir, capsys):
+        manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
+        pipeline = tmp_path / "raw.json"
+        pipeline.write_text(json.dumps({"feature_mode": "raw_local"}))
+        code = main(["dump", "--episode", str(manifest), "--stage", "centroids",
+                     "--pipeline", str(pipeline), "--out", str(tmp_path / "cents")])
+        assert code == 2
+        assert "raw_local mode has no centroids" in capsys.readouterr().err
+        assert list((tmp_path / "cents").iterdir()) == []
+
     def test_unknown_stage_exits_2(self, tmp_path, episodes_dir, capsys):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
         code = main(["dump", "--episode", str(manifest), "--stage", "foo",
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "centroids" in capsys.readouterr().err
+
+
+class TestRuntimeErrors:
+    def test_truncated_tensor_exits_1(self, episodes_dir, capsys):
+        manifest = episodes_dir / "episode_000" / "manifest.json"
+        victim = sorted(manifest.parent.glob("*.ftns"))[0]
+        victim.write_bytes(victim.read_bytes()[:10])
+        assert main(["run", "--episode", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {victim}: stream ended inside the dims")
 
 
 class TestUsageErrors:
@@ -326,3 +426,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command, config, code, stream, expected", [
+    (["eval"], {}, 0, "stdout", "failures: 0 of 1"),
+    (["ablate", "--grid", "tse,warp"], {}, 2, "stderr", "unknown toggle 'warp'"),
+    (["eval"], {"n_way": 1}, 1, "stderr",
+     "episode synth0000 failed: ValueError('need at least 2 classes to rank')"),
+], ids=["eval", "unknown-toggle", "every-episode-failed"])
+def test_module_exit_codes(tmp_path, command, config, code, stream, expected):
+    # the process exit code is main()'s return value
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({**SYNTH, **config, "episodes": 1}))
+    src = str(Path(fewshift.__file__).resolve().parent.parent)
+    argv = [sys.executable, "-m", "fewshift.cli", "--threads", "1", *command,
+            "--synth", str(synth), "--out", str(tmp_path / "r.csv")]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    assert expected in getattr(done, stream)

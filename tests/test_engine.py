@@ -3,6 +3,7 @@
 import ctypes
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from fewshift.engine import (
     embed_episode,
     evaluate,
     forward_episode,
+    row_label,
     run_episode,
 )
 from fewshift.errors import ConfigError
@@ -35,6 +37,15 @@ from fewshift.synthgen import SynthConfig, generate_episode
 
 SMALL = SynthConfig(seed=7, shift_strength=0.5, pixel_noise=0.15,
                     distractor_rate=0.2, n_query=5, height=8, width=8, channels=48)
+
+
+class AllZero(SyntheticTaskStream):
+    """Every episode has all-zero images, so every semantic run fails."""
+
+    def episode(self, index):
+        eid, ep = super().episode(index)
+        return eid, Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
+                            ep.query_source_labels, ep.scoring_labels())
 
 
 class Flaky(SyntheticTaskStream):
@@ -47,6 +58,16 @@ class Flaky(SyntheticTaskStream):
             return eid, Episode(np.zeros_like(ep.images), ep.n_way, ep.k_shot,
                                 ep.query_source_labels, ep.scoring_labels())
         return eid, ep
+
+
+class Counting(SyntheticTaskStream):
+    """Counts the episodes fetched from it."""
+
+    fetched = 0
+
+    def episode(self, index):
+        self.fetched += 1
+        return super().episode(index)
 
 
 def default_of(function, parameter):
@@ -84,6 +105,11 @@ class TestPipelineConfig:
         with pytest.raises(ConfigError) as err:
             PipelineConfig(feature_mode="bogus")
         assert err.value.field == "feature_mode"
+
+    @pytest.mark.parametrize("raw", [[1, 2], "abc", None], ids=["list", "string", "null"])
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(ConfigError, match="'PipelineConfig': must be a JSON object, got"):
+            PipelineConfig.from_dict(raw)
 
     def test_unknown_key_rejected(self):
         # the retired knobs are unknown keys like any other
@@ -278,6 +304,24 @@ class TestEvaluate:
         assert [r.episode_id for r in report.reports] == ["synth0001", "synth0003"]
         assert "failures: 2 of 4" in report.summary_text()
 
+    @pytest.mark.parametrize("use_catt, threads", [(True, 1), (False, 2)])
+    def test_all_failed_run_returns_its_failures(self, use_catt, threads):
+        cfg = replace(PipelineConfig(), use_catt=use_catt)
+        report = evaluate(AllZero(SMALL), 3, cfg, threads=threads)
+        assert report.reports == []
+        assert [eid for eid, _ in report.failures] == ["synth0000", "synth0001", "synth0002"]
+        assert math.isnan(report.mean_accuracy) and math.isnan(report.ci95)
+        assert report.to_csv() == ",".join(CSV_COLUMNS) + "\n"
+        summary = report.summary_text()
+        assert "episodes: 0\n" in summary and "failures: 3 of 3\n" in summary
+        assert "mean_accuracy: nan\n" in summary
+
+    def test_no_tasks_rejected_before_any_fetch(self):
+        stream = Counting(SMALL)
+        with pytest.raises(ValueError, match="n_tasks must be >= 1"):
+            evaluate(stream, 0, PipelineConfig())
+        assert stream.fetched == 0
+
     def test_threads_match_serial(self):
         cfg = replace(PipelineConfig(), use_catt=False)
         serial = evaluate(SyntheticTaskStream(SMALL), 4, cfg, threads=1)
@@ -459,19 +503,35 @@ class TestScoreOnce:
 class TestAblate:
     def test_rows_paired_and_labeled(self):
         grid = [{"tse"}, {"cs"}, {"tse", "catt", "cs"}]
-        rows = ablate(PipelineConfig(), grid, SyntheticTaskStream(SMALL), 3)
-        assert [r.label() for r in rows] == ["tse", "cs", "tse+catt+cs"]
-        hashes = [[e.episode_hash for e in r.report.reports] for r in rows]
+        reports = ablate(PipelineConfig(), grid, SyntheticTaskStream(SMALL), 3)
+        assert [row_label(toggles) for toggles in grid] == ["tse", "cs", "tse+catt+cs"]
+        assert row_label(set()) == "baseline"
+        # one report per row, in grid order: only the cs row runs raw locals (k = 0)
+        assert [r.reports[0].k > 0 for r in reports] == [True, False, True]
+        hashes = [[e.episode_hash for e in r.reports] for r in reports]
         assert hashes[0] == hashes[1] == hashes[2]
 
     def test_failed_episodes_keep_the_pairing_and_are_reported(self):
         # the raw-local baseline runs the all-zero episode and tse does not
-        rows = ablate(PipelineConfig(), [{"tse"}, set()], Flaky(SMALL), 3)
-        assert [[eid for eid, _ in r.report.failures] for r in rows] == [["synth0001"], []]
-        assert [len(r.report.reports) for r in rows] == [2, 3]
+        reports = ablate(PipelineConfig(), [{"tse"}, set()], Flaky(SMALL), 3)
+        assert [[eid for eid, _ in r.failures] for r in reports] == [["synth0001"], []]
+        assert [len(r.reports) for r in reports] == [2, 3]
         # both rows fail it, and each says so
-        rows = ablate(PipelineConfig(), [{"tse"}, {"tse", "cs"}], Flaky(SMALL), 3)
-        assert [[eid for eid, _ in r.report.failures] for r in rows] == [["synth0001"]] * 2
+        reports = ablate(PipelineConfig(), [{"tse"}, {"tse", "cs"}], Flaky(SMALL), 3)
+        assert [[eid for eid, _ in r.failures] for r in reports] == [["synth0001"]] * 2
+
+    def test_all_failed_row_keeps_its_place(self):
+        reports = ablate(PipelineConfig(), [{"tse"}, set()], AllZero(SMALL), 2)
+        assert reports[0].reports == []
+        assert [eid for eid, _ in reports[0].failures] == ["synth0000", "synth0001"]
+        assert math.isnan(reports[0].mean_accuracy) and math.isnan(reports[0].ci95)
+        assert len(reports[1].reports) == 2 and not reports[1].failures
+
+    def test_bad_toggle_in_last_row_runs_no_episode(self):
+        stream = Counting(SMALL)
+        with pytest.raises(ConfigError, match="'grid': unknown toggle 'warp'"):
+            ablate(PipelineConfig(), [{"tse"}, {"cs"}, {"cs", "warp"}], stream, 2)
+        assert stream.fetched == 0
 
     def test_different_episodes_rejected(self):
         class Drifting(SyntheticTaskStream):

@@ -91,6 +91,25 @@ class TestTensorFormat:
         with pytest.raises(TruncatedError):
             read_tensor(io.BytesIO(b"FT"))
 
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_header_rank_outside_range(self, rank):
+        blob = b"FTNS" + struct.pack("<BB", 1, rank) + bytes(4 * rank + 4)
+        with pytest.raises(TensorFormatError, match=rf"rank {rank} outside \[1, 4\]") as err:
+            read_tensor(io.BytesIO(blob))
+        assert err.type is TensorFormatError
+
+    def test_header_zero_dim(self):
+        blob = b"FTNS" + struct.pack("<BB2I", 1, 2, 3, 0)
+        with pytest.raises(TensorFormatError, match=r"zero dimension in \(3, 0\)") as err:
+            read_tensor(io.BytesIO(blob))
+        assert err.type is TensorFormatError
+
+    def test_zero_length_axis_not_written(self):
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match=r"dims must be positive, got \(2, 0\)"):
+            write_tensor(np.zeros((2, 0), dtype=np.float32), sink)
+        assert sink.getvalue() == b""
+
     def test_file_round_trip(self, tmp_path):
         arr = np.random.default_rng(1).normal(size=(3, 4)).astype(np.float32)
         path = tmp_path / "t.ftns"
@@ -268,6 +287,18 @@ class TestManifest:
     def test_unbalanced_support_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
             build_manifest(tmp_path, break_support=True).validate()
+
+    @pytest.mark.parametrize("relabel, message", [
+        (7, "support class 7 out of range"),
+        (0, r"support classes unbalanced: \[2, 0, 1, 1, 1\]"),
+    ], ids=["out-of-range", "unbalanced"])
+    def test_support_classes_checked(self, tmp_path, relabel, message):
+        # the support count still matches n_way * k_shot
+        manifest = build_manifest(tmp_path)
+        support = list(manifest.support)
+        support[1] = replace(support[1], class_index=relabel)
+        with pytest.raises(ManifestError, match=message):
+            replace(manifest, support=tuple(support)).validate()
 
     def test_query_class_coverage_enforced(self, tmp_path):
         manifest = build_manifest(tmp_path)

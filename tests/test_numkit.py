@@ -501,6 +501,20 @@ class TestCosineMatrix:
             cosine_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: kmeans(np.zeros((4, 2)), 2, np.zeros((2, 3))), "init must be k x d"),
+    (lambda: farthest_first_init(np.zeros((3, 2)), 4, SplitMix64(0)),
+     "k=4 exceeds point count 3"),
+    (lambda: cholesky(np.eye(3)[:2]), "expected a square matrix"),
+    (lambda: softmax(np.array([0.0, np.inf])), "softmax input must be finite"),
+], ids=["kmeans-init-shape", "farthest-first-k-above-n", "cholesky-not-square",
+        "softmax-not-finite"])
+def test_arguments_checked(call, message):
+    with pytest.raises(ValueError, match=message) as err:
+        call()
+    assert err.type is ValueError
+
+
 class TestSoftmax:
     def test_uniform_pair(self):
         assert np.array_equal(softmax(np.array([0.0, 0.0])), [0.5, 0.5])

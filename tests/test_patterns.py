@@ -305,12 +305,7 @@ class TestPooledBlocks:
 
 class PerGroup(PooledBlocks):
     """The cache pooling one product per class group, as before a table's
-    misses were pooled together, and normalising a promoted query image
-    from the stack rather than reusing the query set's unit rows."""
-
-    def __init__(self, stack, query_rows):
-        super().__init__(stack, query_rows)
-        self._q_pos = {}
+    misses were pooled together."""
 
     def pool(self, classes):
         for group in classes:

@@ -2,6 +2,7 @@
 plain expression form bit for bit."""
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,3 +49,9 @@ def test_uniform_range_and_gaussian_moments():
     g = rng.gaussians(20_001)
     assert np.isfinite(g).all()
     assert abs(g.mean()) < 0.03 and abs(g.std() - 1.0) < 0.03
+
+
+def test_randint_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="bound must be positive") as err:
+        SplitMix64(7).randint(0)
+    assert err.type is ValueError

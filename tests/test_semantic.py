@@ -32,6 +32,16 @@ def matrix_with_spectrum(rng, n, cols, spectrum):
     return (u * np.asarray(spectrum)) @ v.T
 
 
+@pytest.mark.parametrize("locals_matrix, bounds, message", [
+    (np.zeros((6, 3)), {"k_min": 5, "k_max": 4}, "k_min exceeds k_max"),
+    (np.zeros(6), {}, "expected a 2-D matrix"),
+], ids=["k_min-above-k_max", "one-dimensional"])
+def test_cluster_count_arguments_checked(locals_matrix, bounds, message):
+    with pytest.raises(ValueError, match=message) as err:
+        select_cluster_count(locals_matrix, **bounds)
+    assert err.type is ValueError
+
+
 class TestSelectClusterCount:
     def test_constructed_spectrum(self):
         rng = np.random.default_rng(0)

@@ -182,6 +182,19 @@ class TestConfigValidation:
             SynthConfig.from_dict({"seed": 1, "bogus": 2})
         assert err.value.field == "bogus"
 
+    def test_seed_required(self):
+        with pytest.raises(ConfigError, match="'seed': required field missing"):
+            SynthConfig.from_dict({"n_way": 3})
+
+    @pytest.mark.parametrize("raw", [[1, 2], "abc", None], ids=["list", "string", "null"])
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(ConfigError, match="'SynthConfig': must be a JSON object, got"):
+            SynthConfig.from_dict(raw)
+
+    def test_transform_gamma_out_of_range(self):
+        with pytest.raises(ConfigError, match=r"'shift_strength': must lie in \[0, 1\]"):
+            make_transform(3, 1.5, 8)
+
     def test_dict_round_trip(self):
         cfg = SynthConfig(seed=3, shift_strength=0.4)
         assert SynthConfig.from_dict(cfg.to_dict()) == cfg
