@@ -131,9 +131,38 @@ def write_tensor_file(tensor: np.ndarray, path: str | Path) -> int:
         return write_tensor(tensor, sink)
 
 
-def read_tensor_file(path: str | Path) -> np.ndarray:
+def read_tensor_file(path: str | Path, out: np.ndarray | None = None) -> np.ndarray:
+    """The tensor in the file at path; with out, read into out and return it.
+
+    out must be a writable C-contiguous '<f4' array.  The header and
+    payload arrive in one os.readv (POSIX only), the payload straight
+    into out, which is returned when the header is the one out's shape
+    implies, the file held all of out and every float is finite.  Else
+    the file is parsed again by read_tensor, so every format error reads
+    as without out, and a well-formed tensor of another shape raises
+    ShapeMismatchError.  A failed read leaves out partly overwritten.
+    """
+    if out is not None:
+        flags = out.flags
+        if out.dtype != np.dtype("<f4") or not (flags.c_contiguous and flags.writeable):
+            raise ValueError(f"out must be a writable C-contiguous <f4 array, got {out.dtype}")
+        header = MAGIC + struct.pack(f"<BB{out.ndim}I", VERSION, out.ndim, *out.shape)
+        held = bytearray(len(header))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            count = os.readv(fd, [held, out])
+        finally:
+            os.close(fd)
+        if count == len(header) + out.nbytes and held == header and np.isfinite(out).all():
+            return out
     with open(path, "rb") as source:
-        return read_tensor(source)
+        arr = read_tensor(source)
+    if out is None:
+        return arr
+    if arr.shape != out.shape:
+        raise ShapeMismatchError(f"{os.fspath(path)}: shape {arr.shape}, expected {out.shape}")
+    out[...] = arr  # readv came up short on a file that holds out's tensor
+    return out
 
 
 @dataclass(frozen=True)
@@ -336,10 +365,12 @@ class Episode:
 def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
     """Materialize an Episode from a manifest and its tensor files.
 
-    Files are read in manifest order, each into its row of the stack.
+    Files are read in manifest order, each by read_tensor_file straight
+    into its row of the stack; a tensor whose shape is not the manifest's
+    (h, w, d) raises ShapeMismatchError naming the file.
     """
     manifest.validate()
-    base = Path(base_dir)
+    base = os.fspath(base_dir)
     expected = (manifest.height, manifest.width, manifest.channels)
     entries = manifest.support + manifest.query_source + manifest.query_target
     # validate() guarantees k_shot support entries per class
@@ -349,13 +380,9 @@ def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
     rows += range(len(rows), len(entries))
     images = np.empty((len(entries), *expected), dtype="<f4")
     for row, entry in zip(rows, entries):
-        # the normalised path is the one validate() confined
-        arr = read_tensor_file(base / os.path.normpath(entry.path))
-        if arr.shape != expected:
-            raise ShapeMismatchError(
-                f"{entry.path}: shape {arr.shape}, manifest declares {expected}"
-            )
-        images[row] = arr
+        # the normalised path is the one validate() confined; joined as a
+        # str: a Path join costs about as much as the read itself
+        read_tensor_file(os.path.join(base, os.path.normpath(entry.path)), out=images[row])
     return Episode(
         images, manifest.n_way, manifest.k_shot,
         [e.class_index for e in manifest.query_source],

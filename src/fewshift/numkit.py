@@ -35,10 +35,12 @@ def _sq_distances(
 
     sq_norms holds ||x||^2 for the points, computed once by the caller.
     The product goes into the transpose of a (k, n) buffer, out when
-    given; it holds the bits of points @ centroids.T, and each point is a
-    column, so reductions over the centroids run down axis 0.  The
-    product is scaled by -2 in place; a power-of-two scale is exact, so
-    this equals (2 x) . c term by term.
+    given, and each point is a column, so reductions over the centroids
+    run down axis 0.  Its bits need not match points @ centroids.T in a
+    C-ordered array: BLAS may sum in another order for this layout.  The
+    init and every full or bounded pass go through this one layout, so
+    they agree with each other.  The product is scaled by -2 in place; a
+    power-of-two scale is exact, so this equals (2 x) . c term by term.
     """
     if out is None:
         out = np.empty((len(centroids), len(points)))

@@ -31,7 +31,7 @@ from fewshift.engine import (
     run_episode,
 )
 from fewshift.errors import ConfigError
-from fewshift.feature_store import Episode
+from fewshift.feature_store import Episode, save_episode
 from fewshift.selftrain import class_matching_loss, promote_and_reclassify
 from fewshift.synthgen import SynthConfig, generate_episode
 
@@ -567,6 +567,22 @@ class TestManifestStream:
                                      "eps/e1/manifest.json", "manifest.json"])
         assert [stream.episode(i)[0] for i in range(4)] == [
             "manifest_a", "manifest_b", "e1", "manifest"]
+
+    @pytest.mark.parametrize("cfg", [config_for_toggles(PipelineConfig(), set()),
+                                     PipelineConfig()], ids=["baseline", "defaults"])
+    def test_loaded_episodes_run_as_in_memory(self, tmp_path, cfg):
+        # loading reads each tensor straight into the stack; on one
+        # thread or two it must hand the pipeline the generated bytes
+        memory = SyntheticTaskStream(SynthConfig(
+            seed=20230, shift_strength=0.6, pixel_noise=0.15, distractor_rate=0.2))
+        saved = [memory.episode(i) for i in range(4)]
+        disk = ManifestTaskStream([save_episode(ep, tmp_path / eid) for eid, ep in saved])
+        want = strip_wall_ms(evaluate(memory, 4, cfg).to_csv())
+        for threads in (1, 2):
+            report = evaluate(disk, 4, cfg, threads=threads)
+            assert strip_wall_ms(report.to_csv()) == want
+            assert [r.episode_hash for r in report.reports] == [
+                ep.content_hash() for _, ep in saved]
 
     def test_loads_generated_episodes(self, tmp_path):
         from fewshift.cli import main

@@ -1,6 +1,7 @@
 """Tests for the tensor container, manifests, and episode loading."""
 
 import io
+import math
 import os
 import struct
 import tempfile
@@ -36,6 +37,7 @@ from fewshift.feature_store import (
     write_tensor,
     write_tensor_file,
 )
+from fewshift.synthgen import SynthConfig, generate_episode
 
 
 class TestTensorFormat:
@@ -436,6 +438,119 @@ class TestLoadEpisode:
         assert "query_source_labels" in public
         assert all("target" not in name or "label" not in name for name in public)
         assert len(episode.scoring_labels()) == len(episode.query_target)
+
+
+HEADER = 6 + 4 * 3  # header bytes of a (4, 4, 8) tensor, build_manifest's grid
+
+
+def patched(at, value):
+    return lambda blob: blob[:at] + value + blob[at + len(value):]
+
+
+CORRUPT = {
+    "bad-magic": patched(0, b"XXXX"),
+    "version-2": patched(4, b"\x02"),
+    "rank-0": patched(5, b"\x00"),
+    "rank-5": patched(5, b"\x05"),
+    "zero-dim": patched(10, struct.pack("<I", 0)),
+    **{f"header-cut-{n}": (lambda blob, n=n: blob[:n]) for n in range(HEADER)},
+    "one-float-short": lambda blob: blob[:-4],
+    "nan": patched(HEADER + 4 * 3, struct.pack("<f", math.nan)),
+    "inf": patched(HEADER + 4 * 100, struct.pack("<f", math.inf)),
+    "minus-inf": patched(HEADER + 4 * 127, struct.pack("<f", -math.inf)),
+}
+
+
+class TestLoadIntoRows:
+    """load_episode reads each file straight into its row; every fault
+    must read as it does from read_tensor_file alone."""
+
+    @pytest.mark.parametrize("corrupt", CORRUPT.values(), ids=CORRUPT.keys())
+    def test_errors_match_the_file_reader(self, tmp_path, corrupt):
+        manifest = build_manifest(tmp_path)
+        path = tmp_path / "qs1_2.ftns"
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(TensorFormatError) as alone:
+            read_tensor_file(path)
+        with pytest.raises(TensorFormatError) as loaded:
+            load_episode(manifest, tmp_path)
+        assert loaded.type is alone.type
+        assert str(loaded.value) == str(alone.value)
+        assert str(path) in str(loaded.value)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (1, 4, 4, 8)], ids=["wrong-hwd", "rank-4"])
+    def test_other_shape_is_a_mismatch(self, tmp_path, shape):
+        manifest = build_manifest(tmp_path)
+        path = tmp_path / "qt2_1.ftns"
+        write_tensor_file(np.ones(shape, dtype=np.float32), path)
+        with pytest.raises(ShapeMismatchError) as alone:
+            read_tensor_file(path, out=np.empty((4, 4, 8), dtype="<f4"))
+        with pytest.raises(ShapeMismatchError) as loaded:
+            load_episode(manifest, tmp_path)
+        assert str(loaded.value) == str(alone.value)
+        assert str(alone.value) == f"{path}: shape {shape}, expected (4, 4, 8)"
+
+    def test_trailing_bytes_still_load(self, tmp_path):
+        manifest = build_manifest(tmp_path)
+        before = load_episode(manifest, tmp_path)
+        path = tmp_path / "s3_0.ftns"
+        path.write_bytes(path.read_bytes() + bytes(12))
+        assert load_episode(manifest, tmp_path).content_hash() == before.content_hash()
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 4, 16), dtype="<f4")[..., ::2],
+        np.empty((4, 8, 4), dtype="<f4").transpose(0, 2, 1),
+        np.empty((4, 4, 8), dtype=">f4"),
+        np.empty((4, 4, 8)),
+        np.frombuffer(bytes(4 * 128), dtype="<f4").reshape(4, 4, 8),
+    ], ids=["strided", "transposed", "big-endian", "float64", "read-only"])
+    def test_out_must_be_writable_contiguous_f4(self, tmp_path, out):
+        path = tmp_path / "t.ftns"
+        write_tensor_file(np.ones((4, 4, 8), dtype=np.float32), path)
+        with pytest.raises(ValueError, match="writable C-contiguous <f4"):
+            read_tensor_file(path, out=out)
+
+    def test_short_vectored_read_falls_back_to_the_parser(self, tmp_path, monkeypatch):
+        arr = np.random.default_rng(3).normal(size=(4, 4, 8)).astype(np.float32)
+        path = tmp_path / "t.ftns"
+        write_tensor_file(arr, path)
+        readv = os.readv
+        # the header arrives, the payload does not
+        monkeypatch.setattr(feature_store.os, "readv", lambda fd, bufs: readv(fd, bufs[:1]))
+        out = np.full((4, 4, 8), np.nan, dtype="<f4")
+        assert read_tensor_file(path, out=out) is out
+        assert out.tobytes() == arr.tobytes()
+
+    def test_benchmark_read_span_counts_every_file_byte(self, tmp_path, monkeypatch):
+        # perfbench/run.py wraps read_tensor_file in the feature_store
+        # namespace and counts 6 + 4 * r.ndim + 4 * r.size bytes per
+        # returned array as feature_store.bytes_read
+        episode, _ = generate_episode(SynthConfig(
+            seed=20230, shift_strength=0.6, pixel_noise=0.15, distractor_rate=0.2))
+        path = save_episode(episode, tmp_path / "ep")
+        counted = []
+        real = feature_store.read_tensor_file
+
+        def traced(*args, **kwargs):
+            r = real(*args, **kwargs)
+            counted.append(6 + 4 * r.ndim + 4 * r.size)
+            return r
+
+        monkeypatch.setattr(feature_store, "read_tensor_file", traced)
+        load_episode(EpisodeManifest.load(path), path.parent)
+        files = list(path.parent.glob("*.ftns"))
+        assert len(counted) == len(files) == 155
+        assert sum(counted) == sum(f.stat().st_size for f in files)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=finite_tensors)
+def test_read_into_out_property(arr):
+    out = np.empty(arr.shape, dtype="<f4")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_tensor_file(arr, Path(tmp) / "t.ftns")
+        assert read_tensor_file(Path(tmp) / "t.ftns", out=out) is out
+    assert out.tobytes() == arr.astype("<f4").tobytes()  # -0.0 and subnormals too
 
 
 class TestEpisode:
