@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument(
         "--threads", type=_positive_int, default=os.cpu_count() or 1,
-        help="episode-level parallelism (ignored when the centroid chain is on)",
+        help="episode-level parallelism; serial when any row chains centroids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,6 +10,10 @@ self-training, and the four loss terms combined as
 Nothing is trained; losses are outputs.  Predictions are produced by a
 label-blind forward pass and only afterwards scored against the
 episode's quarantined target labels.
+
+evaluate (one config) and ablate (a grid of them) share one loop: each
+episode is fetched and hashed once, on the thread that runs it, and
+every config runs on that one Episode, a chained one on its own history.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ class PipelineConfig:
 @dataclass
 class EpisodeReport:
     """One episode's outputs.  forward_episode fills the fields through
-    centroids (the next task's warm start, None for raw locals), and
-    run_episode stamps the rest once the predictions are scored."""
+    centroids (the next task's warm start, None for raw locals),
+    run_episode stamps the id, accuracy and wall_ms once the predictions
+    are scored, and evaluate and ablate stamp the episode_hash."""
 
     predictions: np.ndarray
     l_cls: float
@@ -102,19 +107,11 @@ class EpisodeReport:
         return sum(self.confident_per_class)
 
     def csv_row(self) -> list[str]:
-        return [
-            self.episode_id,
-            repr(float(self.accuracy)),
-            repr(float(self.l_cls)),
-            repr(float(self.l_sfa)),
-            repr(float(self.l_spa)),
-            repr(float(self.l_clm)),
-            repr(float(self.total)),
-            str(self.k),
-            str(self.rounds),
-            str(self.confident_count),
-            str(self.spa_skipped),
-            repr(float(self.wall_ms)),
+        """The CSV_COLUMNS fields: counts as ints, the rest as float reprs."""
+        counts = ("k", "rounds", "confident_count", "spa_skipped")
+        return [self.episode_id] + [
+            str(getattr(self, c)) if c in counts else repr(float(getattr(self, c)))
+            for c in CSV_COLUMNS[1:]
         ]
 
 
@@ -222,7 +219,6 @@ def run_episode(
     report.episode_id = episode_id
     report.accuracy = float((report.predictions == labels).mean())
     report.wall_ms = (time.perf_counter() - start) * 1e3
-    report.episode_hash = episode.content_hash()
     return report
 
 
@@ -316,55 +312,67 @@ def _fingerprint(cfg: PipelineConfig, descriptor: str, n_tasks: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def evaluate(
-    stream: TaskStream,
-    n_tasks: int,
-    cfg: PipelineConfig,
-    threads: int = 1,
-) -> RunReport:
-    """Run n_tasks episodes and aggregate mean accuracy with a 95% CI.
-
-    With the centroid warm start enabled the episodes are serialized so
-    each task can inherit the previous task's centroids; otherwise the
-    episodes are independent and may fan out over threads.  Failed
-    episodes stay in failures; if all fail, the mean and CI are nan.
-    """
+def _run(stream: TaskStream, n_tasks: int, configs: list, threads: int) -> list[RunReport]:
+    """One RunReport per config (row).  Episodes fan out over threads
+    unless a row chains centroids; a failed fetch fails every row."""
+    if not configs:
+        return []
     if n_tasks < 1:
         raise ValueError("n_tasks must be >= 1")
     _keep_freed_heap()
     # first, so the first call's one-time work (reading the sources for the
     # digest) is not carved out of the heap the episodes free on the way
-    fingerprint = _fingerprint(cfg, stream.descriptor(), n_tasks)
+    fingerprints = [_fingerprint(cfg, stream.descriptor(), n_tasks) for cfg in configs]
+    histories = {r: None for r, cfg in enumerate(configs)  # one per chained row
+                 if cfg.use_catt and cfg.feature_mode == "semantic"}
 
-    def one(i: int, history):
-        """(report, failure) for episode i; loading counts too."""
+    def one(i: int) -> list:
+        """(report, failure) per row for episode i; loading counts too."""
         eid = f"#{i}"  # until the stream has named the episode
         try:
             eid, ep = stream.episode(i)
-            return run_episode(ep, cfg, history, eid), None
-        except Exception as exc:  # episode failure aborts that episode only
-            return None, (eid, repr(exc))
-
-    chained = cfg.use_catt and cfg.feature_mode == "semantic"
-    if chained or threads <= 1:
-        history = None
+            digest = ep.content_hash()
+        except Exception as exc:  # a fetch failure fails the episode in every row
+            return [(None, (eid, repr(exc)))] * len(configs)
         outcomes = []
-        for i in range(n_tasks):
-            outcomes.append(one(i, history))
-            if chained and outcomes[-1][0] is not None:
-                history = outcomes[-1][0].centroids
+        for r, cfg in enumerate(configs):
+            try:
+                report = run_episode(ep, cfg, histories.get(r), eid)
+            except Exception as exc:  # fails this row only; its history stays
+                outcomes.append((None, (eid, repr(exc))))
+                continue
+            report.episode_hash = digest
+            if r in histories:
+                histories[r] = report.centroids
+            outcomes.append((report, None))
+        return outcomes
+
+    if threads <= 1 or histories:
+        per_episode = [one(i) for i in range(n_tasks)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda i: one(i, None), range(n_tasks)))
+            per_episode = list(pool.map(one, range(n_tasks)))
+    runs = []
+    for fingerprint, outcomes in zip(fingerprints, zip(*per_episode)):
+        done = [report for report, _ in outcomes if report is not None]
+        mean = ci = math.nan
+        if done:
+            accs = np.array([r.accuracy for r in done])
+            mean = float(accs.mean())
+            ci = 1.96 * float(accs.std(ddof=1)) / math.sqrt(len(accs)) if len(accs) > 1 else 0.0
+        failures = [fail for _, fail in outcomes if fail is not None]
+        runs.append(RunReport(done, mean, ci, fingerprint, failures))
+    return runs
 
-    done = [report for report, _ in outcomes if report is not None]
-    failures = [fail for _, fail in outcomes if fail is not None]
-    if not done:
-        return RunReport(done, math.nan, math.nan, fingerprint, failures)
-    accs = np.array([r.accuracy for r in done])
-    mean = float(accs.mean())
-    ci = 1.96 * float(accs.std(ddof=1)) / math.sqrt(len(accs)) if len(accs) > 1 else 0.0
-    return RunReport(done, mean, ci, fingerprint, failures)
+
+def evaluate(stream: TaskStream, n_tasks: int, cfg: PipelineConfig, threads: int = 1) -> RunReport:
+    """Run n_tasks episodes and aggregate mean accuracy with a 95% CI.
+
+    The one-row case of ablate's loop: episodes run serially when cfg
+    chains centroids, so each inherits the previous one's; otherwise they
+    may fan out over threads.  Failed episodes stay in failures; if all
+    fail, the mean and CI are nan."""
+    return _run(stream, n_tasks, [cfg], threads)[0]
 
 
 _M_TRIM_THRESHOLD = -1
@@ -422,25 +430,16 @@ def row_label(toggles: set[str]) -> str:
 
 
 def ablate(
-    base: PipelineConfig,
-    grid: Sequence[set[str]],
-    stream: TaskStream,
-    n_tasks: int,
+    base: PipelineConfig, grid: Sequence[set[str]], stream: TaskStream, n_tasks: int,
     threads: int = 1,
 ) -> list[RunReport]:
     """Evaluate every toggle set on identical episodes (paired design).
 
     One RunReport per grid row, in grid order; every config is built
-    before any row runs.  The pairing is asserted: an episode several
-    rows ran has one content hash in all of them.  Failed episodes stay
-    in each row's failures, even when they are all of its episodes.
-    """
+    before any episode is fetched.  Each episode is fetched and hashed
+    once and every row runs on that one Episode, so the pairing holds by
+    construction; the episodes run serially when any row chains
+    centroids.  Failed episodes stay in each row's failures, even when
+    they are all of its episodes."""
     configs = [config_for_toggles(base, set(toggles)) for toggles in grid]
-    reports = []
-    hashes: dict[str, str] = {}
-    for cfg in configs:
-        reports.append(evaluate(stream, n_tasks, cfg, threads))
-        for r in reports[-1].reports:
-            if hashes.setdefault(r.episode_id, r.episode_hash) != r.episode_hash:
-                raise AssertionError(f"ablation variants differ at episode {r.episode_id}")
-    return reports
+    return _run(stream, n_tasks, configs, threads)

@@ -185,13 +185,13 @@ def _confined(path: str) -> bool:
 class EpisodeManifest:
     """Declares one episode: support shots plus both query sets.
 
-    Invariants checked by validate(): every entry path is a string that
-    stays inside the episode directory, every entry's domain is "source"
-    in support and query_source and "target" in query_target, support
-    holds exactly n_way*k_shot entries with k_shot per class, both query
-    sets hold n_way*n_query entries that reference exactly the classes
-    0..n_way-1, and every count and dim is >= 1.  load_episode checks
-    that all tensors share the declared (h, w, d).
+    Construction runs validate(), which checks: every entry path is a
+    string that stays inside the episode directory, every entry's domain
+    is "source" in support and query_source and "target" in
+    query_target, support holds exactly n_way*k_shot entries with k_shot
+    per class, both query sets hold n_way*n_query entries that reference
+    exactly the classes 0..n_way-1, and every count and dim is >= 1.
+    load_episode checks that all tensors share the declared (h, w, d).
     """
 
     n_way: int
@@ -203,6 +203,9 @@ class EpisodeManifest:
     support: tuple[ManifestEntry, ...]
     query_source: tuple[ManifestEntry, ...]
     query_target: tuple[ManifestEntry, ...]
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         sets = (("support", self.support, "source"),
@@ -279,7 +282,7 @@ class EpisodeManifest:
                     for e in items
                 )
 
-            manifest = cls(
+            return cls(  # validates; its ManifestError passes the handler below
                 n_way=int(raw["n_way"]),
                 k_shot=int(raw["k_shot"]),
                 n_query=int(raw["n_query"]),
@@ -292,8 +295,6 @@ class EpisodeManifest:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ManifestError(f"malformed manifest record: {exc}") from exc
-        manifest.validate()
-        return manifest
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -369,7 +370,6 @@ def load_episode(manifest: EpisodeManifest, base_dir: str | Path) -> Episode:
     into its row of the stack; a tensor whose shape is not the manifest's
     (h, w, d) raises ShapeMismatchError naming the file.
     """
-    manifest.validate()
     base = os.fspath(base_dir)
     expected = (manifest.height, manifest.width, manifest.channels)
     entries = manifest.support + manifest.query_source + manifest.query_target

@@ -1,8 +1,8 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
 The ablation and self-training criteria share one 100-episode paired
-suite built by a module-scoped fixture; every variant sees byte-identical
-episodes.
+suite built by a module-scoped fixture through engine.ablate, which runs
+every variant on the one Episode it fetched.
 """
 
 import math
@@ -17,6 +17,7 @@ from fewshift.alignment import kl_gaussian, sfa_loss
 from fewshift.engine import (
     PipelineConfig,
     SyntheticTaskStream,
+    ablate,
     config_for_toggles,
     embed_episode,
     evaluate,
@@ -181,27 +182,21 @@ VARIANTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def ablation_suite():
-    base_cfg = PipelineConfig()
-    start = time.perf_counter()
-    acc = {name: [] for name in VARIANTS}
-    hashes = {name: [] for name in VARIANTS}
-    histories = {name: None for name in VARIANTS}
-    promoted_total = 0
-    promoted_correct = 0
-    for i in range(SUITE_EPISODES):
-        cfg = replace(ABLATION_BASE, seed=ABLATION_BASE.seed ^ i)
-        episode, _ = generate_episode(cfg)
-        for name, toggles in VARIANTS.items():
-            variant_cfg = config_for_toggles(base_cfg, toggles)
-            report = run_episode(episode, variant_cfg, histories[name], str(i))
-            acc[name].append(report.accuracy)
-            hashes[name].append(report.episode_hash)
-            if variant_cfg.use_catt:
-                histories[name] = report.centroids
-        # promotion audit under the full configuration
-        full_cfg = config_for_toggles(base_cfg, VARIANTS["full"])
+class AuditedStream(SyntheticTaskStream):
+    """The acceptance stream; audits each episode's promotions as it serves it.
+
+    The audit embeds under the full toggles with no history and tallies
+    how many promoted target queries carry their true class.
+    """
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.promoted_total = 0
+        self.promoted_correct = 0
+
+    def episode(self, index):
+        eid, episode = super().episode(index)
+        full_cfg = config_for_toggles(PipelineConfig(), VARIANTS["full"])
         emb = embed_episode(episode, full_cfg, None)
         result = promote_and_reclassify(
             PooledBlocks(emb.stack, episode.qt_rows), episode.support_rows,
@@ -209,15 +204,26 @@ def ablation_suite():
         labels = episode.scoring_labels()
         for c, ids in enumerate(result.confident):
             for q in ids:
-                promoted_total += 1
-                promoted_correct += int(labels[q] == c)
+                self.promoted_total += 1
+                self.promoted_correct += int(labels[q] == c)
+        return eid, episode
+
+
+@pytest.fixture(scope="module")
+def ablation_suite():
+    stream = AuditedStream(ABLATION_BASE)  # episode i has seed ACCEPT_SEED ^ i
+    start = time.perf_counter()
+    rows = ablate(PipelineConfig(), VARIANTS.values(), stream, SUITE_EPISODES)
     elapsed = time.perf_counter() - start
-    reference = hashes["full"]
-    assert all(hashes[name] == reference for name in VARIANTS)
+    # an audit that raised would fail its episode in every row
+    assert [row.failures for row in rows] == [[]] * len(VARIANTS)
     return {
-        "acc": {name: np.array(vals) for name, vals in acc.items()},
-        "promoted_total": promoted_total,
-        "promoted_correct": promoted_correct,
+        "acc": {
+            name: np.array([r.accuracy for r in row.reports])
+            for name, row in zip(VARIANTS, rows)
+        },
+        "promoted_total": stream.promoted_total,
+        "promoted_correct": stream.promoted_correct,
         "elapsed": elapsed,
     }
 

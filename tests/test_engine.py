@@ -70,6 +70,28 @@ class Counting(SyntheticTaskStream):
         return super().episode(index)
 
 
+class Keeping(SyntheticTaskStream):
+    """Keeps every episode it serves, by id."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self.served = {}
+
+    def episode(self, index):
+        eid, ep = super().episode(index)
+        self.served[eid] = ep
+        return eid, ep
+
+
+class Drifting(SyntheticTaskStream):
+    """Raises its base seed by one on every call, so fetching an index
+    again serves other bytes."""
+
+    def episode(self, index):
+        self.base = replace(self.base, seed=self.base.seed + 1)
+        return super().episode(index)
+
+
 def default_of(function, parameter):
     return inspect.signature(function).parameters[parameter].default
 
@@ -165,11 +187,12 @@ class TestRunEpisode:
         ep2, _ = generate_episode(replace(SMALL, seed=8))
         cfg = PipelineConfig()
         cents = run_episode(ep2, cfg).centroids
-        base = run_episode(ep, cfg, history=None)
+        digest = ep.content_hash()
+        run_episode(ep, cfg, history=None)
         warmed = run_episode(ep, cfg, history=cents)
-        assert base.episode_hash == warmed.episode_hash
         # a different warm start may move losses; it must not crash and
-        # must still report the same episode
+        # must leave the episode as it was
+        assert ep.content_hash() == digest
         assert warmed.k >= 2
 
     def test_raw_mode_skips_embedding(self):
@@ -533,14 +556,63 @@ class TestAblate:
             ablate(PipelineConfig(), [{"tse"}, {"cs"}, {"cs", "warp"}], stream, 2)
         assert stream.fetched == 0
 
-    def test_different_episodes_rejected(self):
-        class Drifting(SyntheticTaskStream):
-            def episode(self, index):  # a new seed on every call
-                self.base = replace(self.base, seed=self.base.seed + 1)
-                return super().episode(index)
+    def test_each_episode_fetched_once_for_the_grid(self):
+        stream = Counting(SMALL)
+        reports = ablate(PipelineConfig(), [{"tse"}, {"cs"}, {"tse", "catt", "cs"}], stream, 3)
+        assert stream.fetched == 3
+        assert all(len(r.reports) == 3 for r in reports)
 
-        with pytest.raises(AssertionError, match="differ at episode synth0000"):
-            ablate(PipelineConfig(), [{"cs"}, set()], Drifting(SMALL), 1)
+    def test_drifting_stream_still_pairs_every_row(self):
+        # a stream that serves new bytes on every call cannot unpair the
+        # rows: each episode is fetched once and every row runs on it
+        stream = Drifting(SMALL)
+        reports = ablate(PipelineConfig(), [{"cs"}, set(), {"tse"}], stream, 2)
+        hashes = [[e.episode_hash for e in r.reports] for r in reports]
+        assert hashes[0] == hashes[1] == hashes[2] and "" not in hashes[0]
+        assert stream.base.seed == SMALL.seed + 2  # one fetch per episode
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_row_equals_evaluating_it_alone(self, threads):
+        # the chained rows fail episode 1 and keep their history, the raw
+        # rows run it, and the chain keeps this grid serial; the unchained
+        # grid takes the pool at threads=2
+        grid = [{"tse", "catt"}, set(), {"cs"}, {"tse", "catt", "cs"}]
+        rows = ablate(PipelineConfig(), grid, Flaky(SMALL), 3, threads)
+        assert [len(r.failures) for r in rows] == [1, 0, 0, 1]
+        unchained = [set(), {"cs"}, {"tse", "cs"}]
+        rows += ablate(PipelineConfig(), unchained, Flaky(SMALL), 3, threads)
+        for toggles, row in zip(grid + unchained, rows):
+            alone = evaluate(Flaky(SMALL), 3, config_for_toggles(PipelineConfig(), toggles),
+                             threads)
+            assert strip_wall_ms(row.to_csv()) == strip_wall_ms(alone.to_csv()), toggles
+            assert row.failures == alone.failures
+            assert [e.episode_hash for e in row.reports] == [
+                e.episode_hash for e in alone.reports]
+            assert (row.fingerprint, row.ci95) == (alone.fingerprint, alone.ci95)
+            assert row.mean_accuracy == alone.mean_accuracy
+
+    def test_failed_episode_leaves_each_chain_where_it_was(self):
+        # both chained rows fail episode 1; each warm-starts episode 2
+        # from its own episode-0 centroids
+        grid = [{"tse", "catt"}, {"tse", "catt", "cs"}]
+        rows = ablate(PipelineConfig(), grid, Flaky(SMALL), 3)
+        stream = SyntheticTaskStream(SMALL)
+        for toggles, row in zip(grid, rows):
+            cfg = config_for_toggles(PipelineConfig(), toggles)
+            first = run_episode(stream.episode(0)[1], cfg, None, "synth0000")
+            last = run_episode(stream.episode(2)[1], cfg, first.centroids, "synth0002")
+            assert [r.csv_row()[:-1] for r in row.reports] == [
+                first.csv_row()[:-1], last.csv_row()[:-1]]
+
+    def test_rows_leave_the_shared_episode_as_fetched(self):
+        stream = Keeping(SMALL)
+        grid = [{"tse"}, {"cs"}, {"tse", "catt"}, {"tse", "catt", "cs"}, set()]
+        reports = ablate(PipelineConfig(), grid, stream, 3)
+        assert sorted(stream.served) == ["synth0000", "synth0001", "synth0002"]
+        for r in reports:
+            assert len(r.reports) == 3
+            for e in r.reports:
+                assert e.episode_hash == stream.served[e.episode_id].content_hash()
 
     def test_empty_grid(self):
         assert ablate(PipelineConfig(), [], SyntheticTaskStream(SMALL), 2) == []

@@ -1,6 +1,7 @@
 """Tests for the tensor container, manifests, and episode loading."""
 
 import io
+import json
 import math
 import os
 import struct
@@ -288,7 +289,7 @@ class TestManifest:
 
     def test_unbalanced_support_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
-            build_manifest(tmp_path, break_support=True).validate()
+            build_manifest(tmp_path, break_support=True)
 
     @pytest.mark.parametrize("relabel, message", [
         (7, "support class 7 out of range"),
@@ -300,26 +301,24 @@ class TestManifest:
         support = list(manifest.support)
         support[1] = replace(support[1], class_index=relabel)
         with pytest.raises(ManifestError, match=message):
-            replace(manifest, support=tuple(support)).validate()
+            replace(manifest, support=tuple(support))
 
     def test_query_class_coverage_enforced(self, tmp_path):
         manifest = build_manifest(tmp_path)
         # class 2's queries relabelled as class 0: the count still matches
-        uncovered = replace(manifest, query_target=tuple(
-            replace(e, class_index=0) if e.class_index == 2 else e
-            for e in manifest.query_target
-        ))
         with pytest.raises(ManifestError, match="references classes"):
-            uncovered.validate()
+            replace(manifest, query_target=tuple(
+                replace(e, class_index=0) if e.class_index == 2 else e
+                for e in manifest.query_target
+            ))
 
     @pytest.mark.parametrize("field", ["query_source", "query_target"])
     def test_query_count_must_match_n_query(self, tmp_path, field):
         manifest = build_manifest(tmp_path, n_way=5, n_query=3)
-        short = replace(manifest, **{field: getattr(manifest, field)[:-1]})
         with pytest.raises(ManifestError, match=f"{field} holds 14 entries, expected 15"):
-            short.validate()
+            replace(manifest, **{field: getattr(manifest, field)[:-1]})
         with pytest.raises(ManifestError, match="expected 20"):
-            replace(manifest, n_query=4).validate()
+            replace(manifest, n_query=4)
 
     @pytest.mark.parametrize("field, wrong", [
         ("support", "target"), ("query_source", "target"), ("query_target", "source"),
@@ -327,13 +326,12 @@ class TestManifest:
     def test_entry_domain_must_match_its_list(self, tmp_path, field, wrong):
         manifest = build_manifest(tmp_path)
         entries = getattr(manifest, field)
-        mislabelled = replace(
-            manifest, **{field: (replace(entries[0], domain=wrong),) + entries[1:]}
-        )
         with pytest.raises(ManifestError, match=f"{entries[0].path}.*domain '{wrong}'"):
-            mislabelled.validate()
+            replace(manifest, **{field: (replace(entries[0], domain=wrong),) + entries[1:]})
+        raw = manifest.to_dict()
+        raw[field][0]["domain"] = wrong
         with pytest.raises(ManifestError, match="domain"):
-            load_episode(mislabelled, tmp_path)
+            EpisodeManifest.from_dict(raw)
 
     def test_malformed_record(self):
         with pytest.raises(ManifestError):
@@ -396,14 +394,19 @@ class TestLoadEpisode:
         if bad_path == "ABSOLUTE":
             bad_path = str(outside)
         last = manifest.query_target[-1]
-        escaping = replace(
-            manifest,
-            query_target=manifest.query_target[:-1] + (replace(last, path=bad_path),),
-        )
         opened = []
         monkeypatch.setattr(feature_store, "read_tensor_file", opened.append)
+        # the manifest is rejected as it is built, so no load can start
         with pytest.raises(ManifestError, match="leaves the episode directory"):
-            load_episode(escaping, episode_dir)
+            load_episode(replace(
+                manifest,
+                query_target=manifest.query_target[:-1] + (replace(last, path=bad_path),),
+            ), episode_dir)
+        raw = manifest.to_dict()
+        raw["query_target"][-1]["path"] = bad_path
+        (episode_dir / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(ManifestError, match="leaves the episode directory"):
+            load_episode(EpisodeManifest.load(episode_dir / "manifest.json"), episode_dir)
         assert opened == []
 
     def test_dotdot_inside_directory_loads(self, tmp_path):
