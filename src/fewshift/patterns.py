@@ -5,10 +5,9 @@ class prototypes are row indices into it.  A query's pattern against a
 class concatenates one block per prototype image: for every position of
 that image, the best cosine over the query's positions.  Its score is
 the pattern's mean.  score_set pools one block per (query set,
-prototype image) pair, the misses of a table in as few matrix products
-as a bound on their temporary allows, and keeps the blocks in a
-PooledBlocks cache, so a prototype image is never pooled twice against
-the same query set.
+prototype image) pair, all the misses of a table in one pass over chunks
+of queries, and keeps the blocks in a PooledBlocks cache, so a prototype
+image is never pooled twice against the same query set.
 """
 
 from __future__ import annotations
@@ -39,11 +38,13 @@ class PooledBlocks:
     stack is the embedded episode, (n, positions, channels), and
     query_rows the rows of the queries.  The block of a row is the
     (Q, S) max-pooled cosine pattern of every query against that image.
-    It is computed the first time a class group holds the row and kept
-    for the life of the cache; later groups only gather it.  The query
-    rows are normalised once, on the first miss; a prototype image's
-    rows, a promoted query image's included, are normalised from the
-    stack when it is pooled.
+    It is computed the first time a table holds the row, together with
+    the table's other misses, and kept for the life of the cache; later
+    tables only gather it.  The query rows are normalised once, on the
+    first miss; a prototype image's rows, a promoted query image's
+    included, are normalised from the stack when it is pooled.  A block's
+    cosines may differ by a few ulps with the shape of the product that
+    pooled it.
     """
 
     def __init__(self, stack: np.ndarray, query_rows: Sequence[int]):
@@ -53,24 +54,12 @@ class PooledBlocks:
         self._blocks: dict[int, np.ndarray] = {}
 
     def pool(self, classes: Sequence[Sequence[int]]) -> None:
-        """Pool every image of the class groups that the cache misses.
-
-        Consecutive groups share one product while its (Q * S, m * S)
-        similarity temporary holds no more elements than the stack.  A
-        group is never split, so a group past that bound gets a product
-        of its own, the one it would get alone.
-        """
-        per_image = len(self.query_rows) * self.stack.shape[1] ** 2
-        batch: dict[int, None] = {}
-        for group in classes:
-            misses = [r for r in dict.fromkeys(int(r) for r in group)
-                      if r not in self._blocks and r not in batch]
-            if batch and (len(batch) + len(misses)) * per_image > self.stack.size:
-                self._pool(list(batch))
-                batch = {}
-            batch.update(dict.fromkeys(misses))
-        if batch:
-            self._pool(list(batch))
+        """Pool every image of the class groups that the cache misses,
+        all of them in one _pool call, in first-seen order."""
+        misses = [r for r in dict.fromkeys(int(r) for group in classes for r in group)
+                  if r not in self._blocks]
+        if misses:
+            self._pool(misses)
 
     def class_pattern(self, rows: Sequence[int]) -> np.ndarray:
         """(Q, L) patterns of every query against one class's images,
@@ -78,16 +67,26 @@ class PooledBlocks:
         return np.concatenate([self._blocks[int(r)] for r in rows], axis=1)
 
     def _pool(self, rows: list[int]) -> None:
-        """One product of the query rows with the images' unit rows."""
+        """Pool the m images of rows in one pass over chunks of queries:
+        a chunk's product with all m images fills one reused (chunk * S,
+        m * S) similarity buffer, no larger than the stack unless one
+        query's block is (chunk = 1)."""
         n_q, s, channels = len(self.query_rows), *self.stack.shape[1:]
         if self._q_unit is None:
             queries = take_rows(self.stack, self.query_rows)
             self._q_unit = unit_rows(queries.reshape(-1, channels))
-        s_unit = unit_rows(self.stack[rows].reshape(-1, channels))
-        sims = (self._q_unit @ s_unit.T).reshape(n_q, s, len(rows), s)
+        m = len(rows)
+        s_unit_t = unit_rows(self.stack[rows].reshape(-1, channels)).T  # (C, m * S)
+        chunk = max(1, self.stack.size // (s * m * s))
+        buf = np.empty((min(chunk, n_q) * s, m * s))
+        pooled = np.empty((n_q, m, s))
+        for a in range(0, n_q, chunk):
+            b = min(a + chunk, n_q)
+            sims = np.matmul(self._q_unit[a * s:b * s], s_unit_t, out=buf[:(b - a) * s])
+            sims.reshape(b - a, s, m, s).max(axis=1, out=pooled[a:b])
         # clip is monotone, so clipping the pooled maxima equals pooling
         # the clipped cosines
-        pooled = np.clip(sims.max(axis=1), -1.0, 1.0)  # (Q, m, S)
+        np.clip(pooled, -1.0, 1.0, out=pooled)
         for i, r in enumerate(rows):
             self._blocks[r] = pooled[:, i]
 
@@ -120,8 +119,8 @@ def score_set(blocks: PooledBlocks, classes: Sequence[Sequence[int]]) -> ScoreTa
     classes holds the stack rows of each class's prototype images.  A
     score is the mean of the pattern vector, so scores do not depend on
     the resolution.  Images the cache already holds are not pooled
-    again; the misses of the whole table are pooled first, in as few
-    products as PooledBlocks.pool's bound allows.
+    again; the misses of the whole table are pooled first, by one
+    PooledBlocks._pool call.
     """
     blocks.pool(classes)
     patterns = [blocks.class_pattern(group) for group in classes]

@@ -352,25 +352,36 @@ class TestEvaluate:
         assert strip_wall_ms(serial.to_csv()) == strip_wall_ms(parallel.to_csv())
 
 
-# evaluate under the chain-full toggles and cs, serially and on two
-# threads; prints predictions and the four losses (as float hex) per run
+# evaluate under the chain-full toggles and cs, and ablate over an
+# unchained grid, serially and on two threads; prints predictions and
+# the four losses (as float hex) per run and row
 BLAS_PROBE = """
 import json
-from fewshift.engine import PipelineConfig, SyntheticTaskStream, config_for_toggles, evaluate
+from fewshift.engine import (
+    PipelineConfig, SyntheticTaskStream, ablate, config_for_toggles, evaluate, row_label,
+)
 from fewshift.synthgen import SynthConfig
 
 base = SynthConfig(seed=20230, shift_strength=0.6, pixel_noise=0.15, distractor_rate=0.2)
+
+def outputs(report):
+    assert not report.failures, report.failures
+    return [
+        [r.episode_id, r.predictions.tolist()]
+        + [float(getattr(r, f)).hex() for f in ("l_cls", "l_sfa", "l_spa", "l_clm")]
+        for r in report.reports
+    ]
+
 out = {}
-for name, toggles in (("chain-full", {"tse", "catt", "cs"}), ("cs", {"cs"})):
-    cfg = config_for_toggles(PipelineConfig(), toggles)
-    for threads in (1, 2):
-        report = evaluate(SyntheticTaskStream(base), 4, cfg, threads)
-        assert not report.failures, report.failures
-        out[f"{name}/threads={threads}"] = [
-            [r.episode_id, r.predictions.tolist()]
-            + [float(getattr(r, f)).hex() for f in ("l_cls", "l_sfa", "l_spa", "l_clm")]
-            for r in report.reports
-        ]
+grid = [set(), {"cs"}, {"tse"}, {"tse", "cs"}]
+for threads in (1, 2):
+    for name, toggles in (("chain-full", {"tse", "catt", "cs"}), ("cs", {"cs"})):
+        cfg = config_for_toggles(PipelineConfig(), toggles)
+        out[f"{name}/threads={threads}"] = outputs(
+            evaluate(SyntheticTaskStream(base), 4, cfg, threads))
+    reports = ablate(PipelineConfig(), grid, SyntheticTaskStream(base), 4, threads)
+    for toggles, report in zip(grid, reports, strict=True):
+        out[f"ablate:{row_label(toggles)}/threads={threads}"] = outputs(report)
 print(json.dumps(out))
 """
 
@@ -387,7 +398,8 @@ def test_outputs_identical_across_blas_and_pool_threads():
         )
         assert done.returncode == 0, done.stderr
         runs[blas] = json.loads(done.stdout)
-    for name in ("chain-full", "cs"):
+    names = ["chain-full", "cs"] + [f"ablate:{row}" for row in ("baseline", "cs", "tse", "tse+cs")]
+    for name in names:
         serial = runs["1"][f"{name}/threads=1"]
         assert len(serial) == 4
         for blas in ("1", "2"):

@@ -304,53 +304,105 @@ class TestPooledBlocks:
 
 
 class PerGroup(PooledBlocks):
-    """The cache pooling one product per class group, as before a table's
-    misses were pooled together."""
+    """The cache pooling each class group's misses on their own, as
+    before a table's misses were pooled together."""
 
     def pool(self, classes):
         for group in classes:
             super().pool([group])
 
 
+def record_pooling(monkeypatch):
+    """Record each pool call as (misses, _pool calls, products).  A
+    _pool call is recorded as the elements of one query's block,
+    S * S * m; a product as (its rows, its buffer's elements, that
+    block)."""
+    calls = []
+    real_pool, real_inner, real_matmul = PooledBlocks.pool, PooledBlocks._pool, np.matmul
+
+    def pool(self, classes):
+        misses = {int(r) for group in classes for r in group} - set(self._blocks)
+        calls.append((len(misses), [], []))
+        return real_pool(self, classes)
+
+    def inner(self, rows):
+        calls[-1][1].append(self.stack.shape[1] ** 2 * len(rows))
+        return real_inner(self, rows)
+
+    def matmul(a, b, out):
+        calls[-1][2].append((out.shape[0], out.base.size, calls[-1][1][-1]))
+        return real_matmul(a, b, out=out)
+
+    monkeypatch.setattr(PooledBlocks, "pool", pool)
+    monkeypatch.setattr(PooledBlocks, "_pool", inner)
+    monkeypatch.setattr(np, "matmul", matmul)
+    return calls
+
+
 @pytest.mark.parametrize("feature_mode", ["semantic", "raw_local"])
 @pytest.mark.parametrize("k_shot", [1, 3])
 def test_batched_pooling_equals_per_group_pooling(monkeypatch, feature_mode, k_shot):
     # the acceptance stream's first episode, both query sets, self-training
-    # rounds included: the tables are bit-identical, no product's
-    # similarity temporary exceeds the stack or the largest single group's,
-    # and raw locals, whose groups each fill the bound, keep every product
+    # rounds included: pooling a table's misses in one pass over query
+    # chunks agrees with pooling each group on its own within the
+    # reassociation bound of a dot product of unit rows (channels * eps)
+    # and ranks identically; each table with misses is pooled by one
+    # _pool call, and no similarity buffer holds more elements than the
+    # stack or one query's block
     ep, _ = generate_episode(SynthConfig(
         seed=20230, k_shot=k_shot, pixel_noise=0.15, shift_strength=0.6, distractor_rate=0.2,
     ))
     stack = embed_episode(ep, PipelineConfig(feature_mode=feature_mode)).stack
-    real = PooledBlocks._pool
-    products = []  # similarity elements of each product
 
-    def recording(self, rows):
-        products.append(len(self.query_rows) * self.stack.shape[1] ** 2 * len(rows))
-        return real(self, rows)
-
-    monkeypatch.setattr(PooledBlocks, "_pool", recording)
-    runs = {}
-    for cache in (PerGroup, PooledBlocks):
-        products.clear()
-        tables = []
+    def tables(cache):
+        out = []
         for rows in (ep.qs_rows, ep.qt_rows):
             blocks = cache(stack, rows)
-            tables.append(score_set(blocks, ep.support_rows))
+            out.append(score_set(blocks, ep.support_rows))
             result = promote_and_reclassify(blocks, ep.support_rows)
-            tables.append(result.table)
-        runs[cache] = tables, list(products)
-    (want, per_group), (got, batched) = runs[PerGroup], runs[PooledBlocks]
+            out.append(result.table)
+        return out, result.rounds_used
+
+    want, _ = tables(PerGroup)
+    calls = record_pooling(monkeypatch)
+    got, rounds_used = tables(PooledBlocks)
+    tol = stack.shape[2] * np.finfo(np.float64).eps
     for a, b in zip(got, want, strict=True):
-        assert np.array_equal(a.scores, b.scores)
-        assert all(np.array_equal(x, y) for x, y in zip(a.patterns, b.patterns, strict=True))
-    assert max(batched) <= max(stack.size, max(per_group))
-    if feature_mode == "raw_local":
-        assert batched == per_group
-    else:
-        assert len(batched) < len(per_group)
-        assert result.rounds_used >= 1  # target queries were promoted and pooled
+        assert np.allclose(a.scores, b.scores, rtol=0.0, atol=tol)
+        for x, y in zip(a.patterns, b.patterns, strict=True):
+            assert np.allclose(x, y, rtol=0.0, atol=tol)
+        for x, y in zip(a.top2(), b.top2(), strict=True):
+            assert np.array_equal(x, y)
+    assert all(len(pooled) == (misses > 0) for misses, pooled, _ in calls)
+    products = [p for _, _, ps in calls for p in ps]
+    assert products and all(size <= max(stack.size, block) for _, size, block in products)
+    if feature_mode == "semantic":
+        assert rounds_used >= 1  # target queries were promoted and pooled
+
+
+@pytest.mark.parametrize("positions, channels, n_queries, n_classes, chunk_rows", [
+    # chunks of 5 and then 2 queries; of 2, 2, 2 and 1 for the promoted table
+    (4, 6, 7, 3, [[20, 8], [8, 8, 8, 4]]),
+    # one query's block exceeds the stack, so a chunk is one query
+    (9, 2, 2, 4, [[9, 9], [9, 9]]),
+])
+def test_query_chunks_match_reference(monkeypatch, positions, channels, n_queries,
+                                      n_classes, chunk_rows):
+    # the second table keeps one prototype and promotes every query, so
+    # its misses are the query rows themselves
+    stack = np.random.default_rng(17).uniform(
+        -1, 1, size=(n_queries + n_classes, positions, channels))
+    query_rows = np.arange(n_queries)
+    classes = [[n_queries + c] for c in range(n_classes)]
+    promoted = [[int(q) for q in query_rows[c::n_classes]] or [n_queries + c]
+                for c in range(n_classes)]
+    promoted[0] = classes[0] + promoted[0]
+    calls = record_pooling(monkeypatch)
+    blocks = PooledBlocks(stack, query_rows)
+    for table in (classes, promoted):
+        assert_tables_close(score_set(blocks, table), reference_scores(stack, query_rows, table))
+    assert [[rows for rows, _, _ in products] for _, _, products in calls] == chunk_rows
+    assert all(len(pooled) == 1 for _, pooled, _ in calls)
 
 
 class TestClassificationLoss:
