@@ -132,12 +132,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    if args.stage not in DUMP_STAGES:
-        print(
-            f"unknown stage '{args.stage}'; valid stages: {', '.join(DUMP_STAGES)}",
-            file=sys.stderr,
-        )
-        return 2
     cfg = _pipeline_config(args)
     _, episode = ManifestTaskStream([args.episode]).episode(0)
     out = Path(args.out)
@@ -235,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dump = sub.add_parser("dump", help="write intermediate tensors to disk")
     p_dump.add_argument("--episode", required=True, help="path to a manifest.json")
-    p_dump.add_argument("--stage", required=True)
+    p_dump.add_argument("--stage", required=True, choices=DUMP_STAGES)
     p_dump.add_argument("--pipeline")
     p_dump.add_argument("--out", required=True)
     p_dump.set_defaults(func=cmd_dump)

@@ -165,8 +165,9 @@ def forward_episode(
     Target labels are untouched; scoring happens in run_episode.  Each
     query set keeps one PooledBlocks cache for the whole episode, so
     self-training, L_clm and L_spa only gather blocks already pooled.
+    Every row runs promote_and_reclassify; with self_training off its
+    budget is zero rounds, so the round-0 table is the final one.
     """
-    n = episode.n_way
     emb = embed_episode(episode, cfg, history)
 
     # the source-query cache is dropped after one table; only its patterns
@@ -175,21 +176,13 @@ def forward_episode(
         patterns.PooledBlocks(emb.stack, episode.qs_rows), episode.support_rows
     )
     l_cls = patterns.cross_entropy(qs_table.scores, episode.query_source_labels)
-
-    qt_blocks = patterns.PooledBlocks(emb.stack, episode.qt_rows)
-    qt_table = patterns.score_set(qt_blocks, episode.support_rows)
-    if cfg.self_training:
-        result = selftrain.promote_and_reclassify(qt_blocks, episode.support_rows)
-        rounds = result.rounds_used
-        confident = [len(ids) for ids in result.confident]
-        final_table = result.table
-    else:
-        rounds = 0
-        confident = [0] * n
-        final_table = qt_table
+    result = selftrain.promote_and_reclassify(
+        patterns.PooledBlocks(emb.stack, episode.qt_rows), episode.support_rows,
+        max_rounds=selftrain.MAX_ROUNDS if cfg.self_training else 0,
+    )
 
     # the final table scores the target queries against the final prototypes
-    l_clm = selftrain.class_matching_loss(final_table)
+    l_clm = selftrain.class_matching_loss(result.table)
     l_sfa = alignment.sfa_loss(
         patterns.take_rows(emb.stack, episode.qs_rows),
         patterns.take_rows(emb.stack, episode.qt_rows),
@@ -197,11 +190,11 @@ def forward_episode(
 
     # pattern alignment uses the support-based (round-0) patterns on both
     # sides so the per-class vectors share one length
-    l_spa, skipped = alignment.spa_loss(qs_table.patterns, qt_table.patterns)
+    l_spa, skipped = alignment.spa_loss(qs_table.patterns, result.initial.patterns)
     total = l_cls + cfg.lambda_sfa * l_sfa + cfg.lambda_spa * l_spa + cfg.lambda_clm * l_clm
     return EpisodeReport(
-        final_table.predictions, l_cls, l_sfa, l_spa, l_clm, total, emb.k, rounds,
-        confident, skipped, emb.centroids,
+        result.table.predictions, l_cls, l_sfa, l_spa, l_clm, total, emb.k, result.rounds_used,
+        [len(ids) for ids in result.confident], skipped, emb.centroids,
     )
 
 

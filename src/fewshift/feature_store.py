@@ -43,7 +43,7 @@ from .errors import (
 MAGIC = b"FTNS"
 VERSION = 1
 MAX_RANK = 4
-_CHUNK = 1 << 20  # bytes per read from a stream that cannot seek
+_CHUNK = 1 << 20  # bytes per payload read
 
 
 def _checked_write(sink: BinaryIO, data: bytes | memoryview, offset: int) -> int:
@@ -97,22 +97,14 @@ def read_tensor(source: BinaryIO) -> np.ndarray:
     if any(d == 0 for d in dims):
         raise TensorFormatError(f"{where}zero dimension in {dims}")
     count = math.prod(dims)  # a Python int: np.prod wraps around in int64
-    size = 4 * count
-    if source.seekable():  # a corrupt header must not size the buffer
-        start = source.tell()
-        size = min(size, source.seek(0, os.SEEK_END) - start)
-        source.seek(start)
-        # read into a writable buffer the array then owns, so nothing is copied
-        payload = bytearray(size)
-        held = source.readinto(payload)
-    else:  # nor on a pipe: read a chunk at a time, up to the declared size
-        payload = bytearray()
-        while chunk := source.read(min(_CHUNK, size - len(payload))):
-            payload += chunk
-        held = len(payload)
-    if held < 4 * count:
+    # read a chunk at a time up to the declared size, so a corrupt header
+    # grows the buffer only as far as the stream holds
+    payload = bytearray()
+    while chunk := source.read(min(_CHUNK, 4 * count - len(payload))):
+        payload += chunk
+    if len(payload) < 4 * count:
         raise TruncatedError(
-            f"{where}payload declares {count} floats, stream held {held // 4}"
+            f"{where}payload declares {count} floats, stream held {len(payload) // 4}"
         )
     data = np.frombuffer(payload, dtype="<f4")
     finite = np.isfinite(data)

@@ -4,8 +4,9 @@ High-confidence target queries are promoted to class prototypes that
 replace the source-side support prototypes of their class, then the
 remaining target queries are reclassified against the updated set.  The
 round loop stops at a fixed point (the confident selection repeats) or
-after max_rounds rounds.  Ground-truth target labels are never visible
-here: the module only ever sees the embedded stack.
+after max_rounds rounds; a budget of zero rounds is self-training
+switched off.  Ground-truth target labels are never visible here: the
+module only ever sees the embedded stack.
 """
 
 from __future__ import annotations
@@ -18,13 +19,16 @@ import numpy as np
 from .numkit import softmax
 from .patterns import PooledBlocks, ScoreTable, score_set
 
+MAX_ROUNDS = 3
+
 
 @dataclass
 class SelfTrainResult:
     prototypes: list[np.ndarray]  # final stack rows per class
-    rounds_used: int
+    rounds_used: int              # 0 with a zero budget or when nothing passes
     confident: list[list[int]]    # final confident query positions per class
     table: ScoreTable             # queries scored against the final prototypes
+    initial: ScoreTable           # queries scored against the support; table after 0 rounds
 
     @property
     def confident_count(self) -> int:
@@ -47,12 +51,14 @@ def promote_and_reclassify(
     blocks: PooledBlocks,
     support_rows: Sequence[Sequence[int]],
     threshold: float = 1.7,
-    max_rounds: int = 3,
+    max_rounds: int = MAX_ROUNDS,
 ) -> SelfTrainResult:
     """Iterate confident selection and prototype promotion.
 
     blocks is the target query set's cache (see score_set) and
-    support_rows the stack rows of each class's support images.  Classes
+    support_rows the stack rows of each class's support images.  The
+    round-0 table, returned as initial, scores the queries against the
+    support; with max_rounds 0 it is also the final table.  Classes
     with at least one confident query swap their prototypes for the
     stack rows of those queries; classes with none keep what they have.
     Predictions always reflect the final prototypes.  Every round pools
@@ -60,13 +66,13 @@ def promote_and_reclassify(
     """
     if not threshold > 0:
         raise ValueError("threshold must be positive")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    if max_rounds < 0:
+        raise ValueError("max_rounds must be >= 0")
     prototypes = [np.asarray(rows, dtype=np.intp) for rows in support_rows]
     if any(len(rows) == 0 for rows in prototypes):
         raise ValueError("every class needs at least one prototype")
     n_classes = len(prototypes)
-    table = score_set(blocks, prototypes)
+    table = initial = score_set(blocks, prototypes)
     previous: list[list[int]] = [[] for _ in range(n_classes)]
     confident = previous
     rounds_used = 0
@@ -80,7 +86,7 @@ def promote_and_reclassify(
         table = score_set(blocks, prototypes)
         rounds_used = round_no
         previous = confident
-    return SelfTrainResult(prototypes, rounds_used, confident, table)
+    return SelfTrainResult(prototypes, rounds_used, confident, table, initial)
 
 
 def class_matching_loss(table: ScoreTable, margin: float = 1.5) -> float:

@@ -13,23 +13,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fewshift import selftrain
 from fewshift.alignment import kl_gaussian, sfa_loss
 from fewshift.engine import (
     PipelineConfig,
     SyntheticTaskStream,
     ablate,
-    config_for_toggles,
-    embed_episode,
     evaluate,
     run_episode,
 )
 from fewshift.numkit import cosine_matrix, farthest_first_init, kmeans, softmax
-from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy
+from fewshift.patterns import ScoreTable, cross_entropy
 from fewshift.rng import SplitMix64
-from fewshift.selftrain import (
-    class_matching_loss,
-    promote_and_reclassify,
-)
+from fewshift.selftrain import class_matching_loss
 from fewshift.semantic import block_split_concat
 from fewshift.synthgen import SynthConfig, generate_episode
 
@@ -183,40 +179,51 @@ VARIANTS = {
 
 
 class AuditedStream(SyntheticTaskStream):
-    """The acceptance stream; audits each episode's promotions as it serves it.
+    """The acceptance stream; tallies how many promoted target queries
+    carry their true class.
 
-    The audit embeds under the full toggles with no history and tallies
-    how many promoted target queries carry their true class.
+    A chained row runs the episodes serially, every row on one episode
+    before the next is fetched, so each promote_and_reclassify call that
+    audit sees belongs to the episode served last.  Rows without cs run
+    zero rounds and promote nothing, so the tally is the full row's.
     """
 
     def __init__(self, base):
         super().__init__(base)
+        self.labels = None
         self.promoted_total = 0
         self.promoted_correct = 0
 
     def episode(self, index):
         eid, episode = super().episode(index)
-        full_cfg = config_for_toggles(PipelineConfig(), VARIANTS["full"])
-        emb = embed_episode(episode, full_cfg, None)
-        result = promote_and_reclassify(
-            PooledBlocks(emb.stack, episode.qt_rows), episode.support_rows,
-        )
-        labels = episode.scoring_labels()
+        self.labels = episode.scoring_labels()
+        return eid, episode
+
+    def audit(self, result):
         for c, ids in enumerate(result.confident):
             for q in ids:
                 self.promoted_total += 1
-                self.promoted_correct += int(labels[q] == c)
-        return eid, episode
+                self.promoted_correct += int(self.labels[q] == c)
 
 
 @pytest.fixture(scope="module")
 def ablation_suite():
     stream = AuditedStream(ABLATION_BASE)  # episode i has seed ACCEPT_SEED ^ i
+    real = selftrain.promote_and_reclassify
+
+    def audited(*args, **kwargs):
+        result = real(*args, **kwargs)
+        stream.audit(result)
+        return result
+
     start = time.perf_counter()
-    rows = ablate(PipelineConfig(), VARIANTS.values(), stream, SUITE_EPISODES)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(selftrain, "promote_and_reclassify", audited)
+        rows = ablate(PipelineConfig(), VARIANTS.values(), stream, SUITE_EPISODES)
     elapsed = time.perf_counter() - start
     # an audit that raised would fail its episode in every row
     assert [row.failures for row in rows] == [[]] * len(VARIANTS)
+    assert stream.promoted_total == sum(r.confident_count for r in rows[0].reports)
     return {
         "acc": {
             name: np.array([r.accuracy for r in row.reports])

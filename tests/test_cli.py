@@ -382,10 +382,12 @@ class TestDump:
 
     def test_unknown_stage_exits_2(self, tmp_path, episodes_dir, capsys):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
-        code = main(["dump", "--episode", str(manifest), "--stage", "foo",
-                     "--out", str(tmp_path / "x")])
-        assert code == 2
+        with pytest.raises(SystemExit) as err:
+            main(["dump", "--episode", str(manifest), "--stage", "foo",
+                  "--out", str(tmp_path / "x")])
+        assert err.value.code == 2
         assert "centroids" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 class TestRuntimeErrors:

@@ -534,6 +534,31 @@ class TestScoreOnce:
         assert min(per_cache) == n_support
         assert (max(per_cache) > n_support) == self_training
 
+    @pytest.mark.parametrize("toggles", [{"tse", "cs"}, {"tse"}])
+    def test_target_round_zero_table_scored_once(self, monkeypatch, toggles):
+        # one table for the source queries, one for the target queries
+        # against the support, and one more per self-training round
+        from fewshift import patterns, selftrain
+
+        calls = []
+        real = patterns.score_set
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(patterns, "score_set", counting)
+        monkeypatch.setattr(selftrain, "score_set", counting)
+        cfg = config_for_toggles(PipelineConfig(), toggles)
+        stream = SyntheticTaskStream(SMALL)
+        rounds = []
+        for i in range(3):
+            calls.clear()
+            report = forward_episode(stream.episode(i)[1], cfg)
+            assert len(calls) == 2 + report.rounds
+            rounds.append(report.rounds)
+        assert (max(rounds) >= 1) == ("cs" in toggles)
+
 
 class TestAblate:
     def test_rows_paired_and_labeled(self):

@@ -54,7 +54,7 @@ class TestConfidenceRule:
         with pytest.raises(ValueError):
             promote_and_reclassify(blocks, support, threshold=0.0)
         with pytest.raises(ValueError):
-            promote_and_reclassify(blocks, support, max_rounds=0)
+            promote_and_reclassify(blocks, support, max_rounds=-1)
 
 
 def split_classes(channels=6):
@@ -102,6 +102,22 @@ class TestPromoteAndReclassify:
         assert result.rounds_used == 0
         assert result.confident == [[], [], []]
         assert target_owned_classes(result.prototypes, blocks.query_rows) == set()
+
+    def test_zero_rounds_is_the_round_zero_table(self):
+        rng = np.random.default_rng(1)
+        queries = [one_hot_map(c, 6, jiggle=0.02, rng=rng) for c in (0, 1, 2)]
+        blocks, support = scored(queries)
+        # these queries are confident, so any budget above zero promotes them
+        assert promote_and_reclassify(blocks, support).rounds_used >= 1
+        result = promote_and_reclassify(blocks, support, max_rounds=0)
+        base = score_set(blocks, support)
+        assert result.initial is result.table
+        assert result.rounds_used == 0
+        assert result.confident == [[]] * 3
+        assert np.array_equal(result.table.predictions, base.predictions)
+        assert np.array_equal(result.table.scores, base.scores)
+        assert all(np.array_equal(a, b) for a, b in zip(result.table.patterns, base.patterns))
+        assert [rows.tolist() for rows in result.prototypes] == [list(r) for r in support]
 
     def test_early_stop_matches_single_round(self):
         rng = np.random.default_rng(1)
