@@ -133,46 +133,31 @@ def cmd_ablate(args) -> int:
 
 def cmd_dump(args) -> int:
     cfg = _pipeline_config(args)
+    if args.stage == "centroids" and cfg.feature_mode == "raw_local":
+        print("raw_local mode has no centroids", file=sys.stderr)
+        return 2
     _, episode = ManifestTaskStream([args.episode]).episode(0)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     emb = engine.embed_episode(episode, cfg)
+    # every tensor's rows follow episode.images or its query rows
     if args.stage == "centroids":
-        if emb.centroids is None:
-            print("raw_local mode has no centroids", file=sys.stderr)
-            return 2
-        write_tensor_file(emb.centroids.astype(np.float32), out / "centroids.ftns")
-        print(f"wrote centroids.ftns (k={emb.k})")
-        return 0
-    if args.stage == "semantic":
+        tensors = {"centroids": emb.centroids}
+    elif args.stage == "semantic":
         h, w, _ = episode.grid
         if cfg.feature_mode == "semantic":
             h, w = h // 2, w // 2  # the quadrant fold halves the grid
-        names = [f"s{c}_{j}" for c, rows in enumerate(episode.support_rows)
-                 for j in range(len(rows))]
-        names += [f"qs{i}" for i in range(len(episode.qs_rows))]
-        names += [f"qt{i}" for i in range(len(episode.qt_rows))]
-        for name, embedded in zip(names, emb.stack, strict=True):
-            grid = embedded.reshape(h, w, -1)
-            write_tensor_file(grid.astype(np.float32), out / f"semantic_{name}.ftns")
-        print(f"wrote {len(names)} semantic maps")
-        return 0
-
-    for prefix, rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
-        table = score_set(PooledBlocks(emb.stack, rows), episode.support_rows)
-        for q in range(len(rows)):
-            if args.stage == "scores":
-                write_tensor_file(
-                    table.scores[q].astype(np.float32),
-                    out / f"scores_{prefix}{q}.ftns",
-                )
-            else:
-                stacked = np.vstack([p[q] for p in table.patterns])
-                write_tensor_file(
-                    stacked.astype(np.float32), out / f"patterns_{prefix}{q}.ftns"
-                )
-    print(f"wrote {args.stage} for {len(episode.qs_rows) + len(episode.qt_rows)} queries")
+        tensors = {"semantic": emb.stack.reshape(len(emb.stack), h, w, -1)}
+    else:
+        tensors = {}
+        for prefix, rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
+            table = score_set(PooledBlocks(emb.stack, rows), episode.support_rows)
+            tensors[f"{args.stage}_{prefix}"] = (
+                table.scores if args.stage == "scores" else np.stack(table.patterns, axis=1)
+            )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, tensor in tensors.items():
+        write_tensor_file(tensor.astype(np.float32), out / f"{name}.ftns")
+        print(f"wrote {name}.ftns {tensor.shape}")
     return 0
 
 

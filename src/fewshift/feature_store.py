@@ -182,7 +182,8 @@ class EpisodeManifest:
     is "source" in support and query_source and "target" in
     query_target, support holds exactly n_way*k_shot entries with k_shot
     per class, both query sets hold n_way*n_query entries that reference
-    exactly the classes 0..n_way-1, and every count and dim is >= 1.
+    exactly the classes 0..n_way-1, and every class, count and dim is an
+    int (not a bool or a float), the counts and dims >= 1.
     load_episode checks that all tensors share the declared (h, w, d).
     """
 
@@ -216,9 +217,16 @@ class EpisodeManifest:
                         f"{name} entry {entry.path!r} has domain {entry.domain!r}, "
                         f"expected {domain!r}"
                     )
+                if type(entry.class_index) is not int:  # a bool is not
+                    raise ManifestError(
+                        f"{name} entry {entry.path!r} class must be an integer, "
+                        f"got {entry.class_index!r}"
+                    )
         sizes = (("n_way", self.n_way), ("k_shot", self.k_shot), ("n_query", self.n_query),
                  ("dims h", self.height), ("dims w", self.width), ("dims d", self.channels))
         for field, value in sizes:
+            if type(value) is not int:
+                raise ManifestError(f"{field} must be an integer, got {value!r}")
             if value < 1:
                 raise ManifestError(f"{field} must be >= 1, got {value}")
         if len(self.support) != self.n_way * self.k_shot:
@@ -269,18 +277,11 @@ class EpisodeManifest:
             dims = raw["dims"]
 
             def dec(items):
-                return tuple(
-                    ManifestEntry(e["path"], int(e["class"]), e["domain"])
-                    for e in items
-                )
+                return tuple(ManifestEntry(e["path"], e["class"], e["domain"]) for e in items)
 
             return cls(  # validates; its ManifestError passes the handler below
-                n_way=int(raw["n_way"]),
-                k_shot=int(raw["k_shot"]),
-                n_query=int(raw["n_query"]),
-                height=int(dims["h"]),
-                width=int(dims["w"]),
-                channels=int(dims["d"]),
+                n_way=raw["n_way"], k_shot=raw["k_shot"], n_query=raw["n_query"],
+                height=dims["h"], width=dims["w"], channels=dims["d"],
                 support=dec(raw["support"]),
                 query_source=dec(raw["query_source"]),
                 query_target=dec(raw["query_target"]),
@@ -293,7 +294,14 @@ class EpisodeManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeManifest":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """A ManifestError names the file if it does not hold a JSON object."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ManifestError(f"{path}: not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ManifestError(f"{path}: must be a JSON object, got {type(raw).__name__}")
+        return cls.from_dict(raw)
 
 
 class Episode:

@@ -308,65 +308,72 @@ class TestAblate:
         assert code == 2
 
 
+def dump(manifest, stage, out, *extra):
+    """Run dump for one stage; returns the names of the files it wrote."""
+    code = main(["dump", "--episode", str(manifest), "--stage", stage,
+                 "--out", str(out), *extra])
+    assert code == 0
+    return sorted(path.name for path in out.iterdir())
+
+
 class TestDump:
     def test_semantic_stage(self, tmp_path, episodes_dir):
+        from fewshift.engine import PipelineConfig, embed_episode
+        from fewshift.feature_store import EpisodeManifest, load_episode
+
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
-        out = tmp_path / "dump"
-        code = main(["dump", "--episode", str(manifest), "--stage", "semantic",
-                     "--out", str(out)])
-        assert code == 0
-        files = sorted(out.glob("semantic_*.ftns"))
+        episode = load_episode(EpisodeManifest.load(manifest), manifest.parent)
+        pipeline = tmp_path / "raw.json"
+        pipeline.write_text(json.dumps({"feature_mode": "raw_local"}))
         n_images = 3 + 3 * 4 * 2  # support + both query sets
-        assert len(files) == n_images
-        grid = read_tensor_file(files[0])
-        assert grid.ndim == 3
-        assert grid.shape[2] % 4 == 0  # folded channels
+        # the quadrant fold halves the 6x6 grid; raw locals keep it
+        for mode, extra, grid in (("semantic", [], (3, 3)),
+                                  ("raw_local", ["--pipeline", str(pipeline)], (6, 6))):
+            out = tmp_path / mode
+            assert dump(manifest, "semantic", out, *extra) == ["semantic.ftns"]
+            maps = read_tensor_file(out / "semantic.ftns")
+            stack = embed_episode(episode, PipelineConfig(feature_mode=mode)).stack
+            assert maps.shape[:3] == (n_images, *grid)
+            for i, row in enumerate(stack):
+                assert np.array_equal(maps[i], row.reshape(*grid, -1).astype(np.float32))
 
     def test_scores_stage(self, tmp_path, episodes_dir):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
         out = tmp_path / "scores"
-        code = main(["dump", "--episode", str(manifest), "--stage", "scores",
-                     "--out", str(out)])
-        assert code == 0
-        vec = read_tensor_file(sorted(out.glob("scores_qt*.ftns"))[0])
-        assert vec.shape == (3,)
+        assert dump(manifest, "scores", out) == ["scores_qs.ftns", "scores_qt.ftns"]
+        for name in ("scores_qs.ftns", "scores_qt.ftns"):
+            assert read_tensor_file(out / name).shape == (3 * 4, 3)  # queries x classes
 
     def test_patterns_stage(self, tmp_path, episodes_dir):
-        import numpy as np
-
         from fewshift.engine import PipelineConfig, embed_episode
         from fewshift.feature_store import EpisodeManifest, load_episode
         from oracles import row_map, similarity_matrix, similarity_pattern
 
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
         out = tmp_path / "patterns"
-        code = main(["dump", "--episode", str(manifest), "--stage", "patterns",
-                     "--out", str(out)])
-        assert code == 0
-        main(["dump", "--episode", str(manifest), "--stage", "scores", "--out", str(out)])
-        assert len(list(out.glob("patterns_q*.ftns"))) == 2 * 3 * 4
+        assert dump(manifest, "patterns", out) == ["patterns_qs.ftns", "patterns_qt.ftns"]
+        dump(manifest, "scores", out)
         episode = load_episode(EpisodeManifest.load(manifest), manifest.parent)
         emb = embed_episode(episode, PipelineConfig())
         for prefix, query_rows in (("qs", episode.qs_rows), ("qt", episode.qt_rows)):
+            patterns = read_tensor_file(out / f"patterns_{prefix}.ftns")
+            scores = read_tensor_file(out / f"scores_{prefix}.ftns")
+            # queries x classes x folded 3x3 grid
+            assert patterns.shape == (len(query_rows), 3, 9)
             for q, row in enumerate(query_rows):
-                rows = read_tensor_file(out / f"patterns_{prefix}{q}.ftns")
                 want = np.vstack([
                     similarity_pattern(similarity_matrix(
                         row_map(emb.stack, row), [row_map(emb.stack, r) for r in group]
                     )).vector
                     for group in episode.support_rows
                 ])
-                assert rows.shape == want.shape == (3, 9)  # classes x folded 3x3 grid
-                assert np.allclose(rows, want, rtol=0.0, atol=1e-6)
-                scores = read_tensor_file(out / f"scores_{prefix}{q}.ftns")
-                assert np.allclose(rows.mean(axis=1), scores, rtol=0.0, atol=1e-6)
+                assert np.allclose(patterns[q], want, rtol=0.0, atol=1e-6)
+            assert np.allclose(patterns.mean(axis=2), scores, rtol=0.0, atol=1e-6)
 
     def test_centroids_stage(self, tmp_path, episodes_dir):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
         out = tmp_path / "cents"
-        code = main(["dump", "--episode", str(manifest), "--stage", "centroids",
-                     "--out", str(out)])
-        assert code == 0
+        assert dump(manifest, "centroids", out) == ["centroids.ftns"]
         cents = read_tensor_file(out / "centroids.ftns")
         assert cents.shape[1] == 32
 
@@ -378,7 +385,7 @@ class TestDump:
                      "--pipeline", str(pipeline), "--out", str(tmp_path / "cents")])
         assert code == 2
         assert "raw_local mode has no centroids" in capsys.readouterr().err
-        assert list((tmp_path / "cents").iterdir()) == []
+        assert not (tmp_path / "cents").exists()
 
     def test_unknown_stage_exits_2(self, tmp_path, episodes_dir, capsys):
         manifest = sorted(episodes_dir.glob("*/manifest.json"))[0]
@@ -398,6 +405,35 @@ class TestRuntimeErrors:
         assert main(["run", "--episode", str(manifest)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {victim}: stream ended inside the dims")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(n_way=2.9), "n_way must be an integer, got 2.9"),
+        (lambda raw: raw.update(k_shot=True), "k_shot must be an integer, got True"),
+        (lambda raw: raw.update(n_query="1"), "n_query must be an integer, got '1'"),
+        (lambda raw: raw["support"][0].update({"class": 0.7}),
+         "support entry 'support_c0_s0.ftns' class must be an integer, got 0.7"),
+        (lambda raw: raw["query_source"][0].update({"class": "1"}),
+         "query_source entry 'query_source_000.ftns' class must be an integer, got '1'"),
+        (lambda raw: raw["query_target"][0].update({"class": False}),
+         "query_target entry 'query_target_000.ftns' class must be an integer, got False"),
+    ], ids=["n_way", "k_shot", "n_query", "support", "query_source", "query_target"])
+    def test_non_integer_manifest_field_exits_1(self, episodes_dir, capsys, edit, message):
+        manifest = episodes_dir / "episode_000" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        edit(raw)
+        manifest.write_text(json.dumps(raw))
+        assert main(["run", "--episode", str(manifest)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"n_way": 3,}', "not valid JSON: Expecting property name"),
+        ("[1, 2]", "must be a JSON object, got list"),
+    ], ids=["not-json", "list"])
+    def test_bad_manifest_file_named_exits_1(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(text)
+        assert main(["run", "--episode", str(manifest)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {manifest}: {message}")
 
 
 class TestUsageErrors:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import tempfile
 import threading
@@ -344,12 +345,16 @@ class TestManifest:
             EpisodeManifest.from_dict(raw)
 
     @pytest.mark.parametrize("field", ["h", "w", "d"])
-    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("value", [0, -2, 2.9, True, "1"])
     def test_non_positive_dims_rejected(self, tmp_path, field, value):
         manifest = build_manifest(tmp_path)
         raw = manifest.to_dict()
         raw["dims"][field] = value
-        with pytest.raises(ManifestError, match=f"dims {field} must be >= 1, got {value}"):
+        if type(value) is int:
+            message = f"dims {field} must be >= 1, got {value}"
+        else:  # a float, bool or string is not read as a whole number
+            message = re.escape(f"dims {field} must be an integer, got {value!r}")
+        with pytest.raises(ManifestError, match=message):
             EpisodeManifest.from_dict(raw)
         attr = {"h": "height", "w": "width", "d": "channels"}[field]
         with pytest.raises(ManifestError, match=f"dims {field}"):

@@ -1,15 +1,26 @@
-"""The README's python examples run as written."""
+"""The README's python examples run as written, and its fewshift
+command lines parse."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fewshift import cli
+
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+COMMANDS = [
+    line
+    for block in re.findall(r"```[a-z]*\n(.*?)```", README, re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("fewshift ")
+]
 
 
 def test_readme_has_python_examples():
@@ -26,3 +37,13 @@ def test_readme_example_runs(source, tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout
+
+
+def test_readme_has_fewshift_commands():
+    assert len(COMMANDS) >= 6
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[f"command{i}" for i in range(len(COMMANDS))])
+def test_readme_command_parses(line):
+    # an unknown subcommand, flag or stage raises SystemExit, which fails the test
+    cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
