@@ -222,13 +222,15 @@ class EpisodeManifest:
                         f"{name} entry {entry.path!r} class must be an integer, "
                         f"got {entry.class_index!r}"
                     )
-        sizes = (("n_way", self.n_way), ("k_shot", self.k_shot), ("n_query", self.n_query),
-                 ("dims h", self.height), ("dims w", self.width), ("dims d", self.channels))
-        for field, value in sizes:
+        # n_way >= 2, or no query can be ranked
+        sizes = (("n_way", self.n_way, 2), ("k_shot", self.k_shot, 1),
+                 ("n_query", self.n_query, 1), ("dims h", self.height, 1),
+                 ("dims w", self.width, 1), ("dims d", self.channels, 1))
+        for field, value, least in sizes:
             if type(value) is not int:
                 raise ManifestError(f"{field} must be an integer, got {value!r}")
-            if value < 1:
-                raise ManifestError(f"{field} must be >= 1, got {value}")
+            if value < least:
+                raise ManifestError(f"{field} must be >= {least}, got {value}")
         if len(self.support) != self.n_way * self.k_shot:
             raise ManifestError(
                 f"support holds {len(self.support)} entries, "
@@ -294,14 +296,17 @@ class EpisodeManifest:
 
     @classmethod
     def load(cls, path: str | Path) -> "EpisodeManifest":
-        """A ManifestError names the file if it does not hold a JSON object."""
+        """Every ManifestError it raises names the file."""
         try:
             raw = json.loads(Path(path).read_text())
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ManifestError(f"{path}: not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise ManifestError(f"{path}: must be a JSON object, got {type(raw).__name__}")
-        return cls.from_dict(raw)
+        try:
+            return cls.from_dict(raw)
+        except ManifestError as exc:
+            raise ManifestError(f"{path}: {exc}") from None
 
 
 class Episode:

@@ -2,7 +2,9 @@
 
 All computation is float64 regardless of the single-precision storage
 format; the KL terms downstream involve matrix inverses and would
-amplify float32 noise.
+amplify float32 noise.  The one float32 product in the package is
+patterns.PooledBlocks._pool's similarity product, whose max-pooled
+output is float64 again.
 """
 
 from __future__ import annotations

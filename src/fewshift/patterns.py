@@ -8,6 +8,11 @@ the pattern's mean.  score_set pools one block per (query set,
 prototype image) pair, all the misses of a table in one pass over chunks
 of queries, and keeps the blocks in a PooledBlocks cache, so a prototype
 image is never pooled twice against the same query set.
+
+The similarity product runs in float32 on unit rows normalised in
+float64; its max-pool writes float64, and all that follows, scores and
+losses included, is float64.  A pooled cosine, and so a pattern entry or
+a score, is within channels * float32 eps of the float64 value.
 """
 
 from __future__ import annotations
@@ -42,9 +47,10 @@ class PooledBlocks:
     the table's other misses, and kept for the life of the cache; later
     tables only gather it.  The query rows are normalised once, on the
     first miss; a prototype image's rows, a promoted query image's
-    included, are normalised from the stack when it is pooled.  A block's
-    cosines may differ by a few ulps with the shape of the product that
-    pooled it.
+    included, are normalised from the stack when it is pooled.  Blocks
+    are float64 and within channels * float32 eps of the float64 cosines;
+    their low bits may differ with the shape of the product that pooled
+    them.
     """
 
     def __init__(self, stack: np.ndarray, query_rows: Sequence[int]):
@@ -69,16 +75,19 @@ class PooledBlocks:
     def _pool(self, rows: list[int]) -> None:
         """Pool the m images of rows in one pass over chunks of queries:
         a chunk's product with all m images fills one reused (chunk * S,
-        m * S) similarity buffer, no larger than the stack unless one
-        query's block is (chunk = 1)."""
+        m * S) float32 similarity buffer, no larger than the stack in
+        elements unless one query's block is (chunk = 1).  Both operands
+        are float64 unit rows rounded to float32; the max over a chunk's
+        query positions is written to the float64 pooled array."""
         n_q, s, channels = len(self.query_rows), *self.stack.shape[1:]
         if self._q_unit is None:
             queries = take_rows(self.stack, self.query_rows)
-            self._q_unit = unit_rows(queries.reshape(-1, channels))
+            self._q_unit = unit_rows(queries.reshape(-1, channels)).astype(np.float32)
         m = len(rows)
-        s_unit_t = unit_rows(self.stack[rows].reshape(-1, channels)).T  # (C, m * S)
+        s_unit = unit_rows(self.stack[rows].reshape(-1, channels)).astype(np.float32)
+        s_unit_t = s_unit.T  # (C, m * S)
         chunk = max(1, self.stack.size // (s * m * s))
-        buf = np.empty((min(chunk, n_q) * s, m * s))
+        buf = np.empty((min(chunk, n_q) * s, m * s), dtype=np.float32)
         pooled = np.empty((n_q, m, s))
         for a in range(0, n_q, chunk):
             b = min(a + chunk, n_q)

@@ -59,8 +59,9 @@ class SynthConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("n_way", "k_shot", "n_query", "height", "width",
-                     "channels", "parts_per_class"):
+        if self.n_way < 2:
+            raise ConfigError("n_way", "must be >= 2, or no query can be ranked")
+        for name in ("k_shot", "n_query", "height", "width", "channels", "parts_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, "must be >= 1")
         if self.height * self.width < self.parts_per_class:

@@ -211,8 +211,9 @@ class TestEval:
         assert len(lines) == 2 and lines[1].startswith("episode_001,")
 
     def test_every_episode_failed_exits_1(self, tmp_path, capsys):
-        synth = tmp_path / "one_class.json"
-        synth.write_text(json.dumps({**SYNTH, "n_way": 1, "episodes": 3}))
+        # the semantic fold needs an even grid; an odd one fails each episode
+        synth = tmp_path / "odd_grid.json"
+        synth.write_text(json.dumps({**SYNTH, "height": 5, "episodes": 3}))
         out = tmp_path / "r.csv"
         assert main(["eval", "--synth", str(synth), "--out", str(out)]) == 1
         assert out.read_text().startswith("episode_id,") and out.read_text().count("\n") == 1
@@ -221,7 +222,7 @@ class TestEval:
         err = capsys.readouterr().err
         for i in range(3):
             assert (f"episode synth000{i} failed: "
-                    "ValueError('need at least 2 classes to rank')") in err
+                    "ValueError('grid must have even height and width, got 5x6')") in err
 
     def test_seed_override_reproducible(self, tmp_path, synth_config):
         outs = []
@@ -423,7 +424,16 @@ class TestRuntimeErrors:
         edit(raw)
         manifest.write_text(json.dumps(raw))
         assert main(["run", "--episode", str(manifest)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {manifest}: {message}\n"
+
+    def test_manifest_error_names_the_file_in_eval(self, episodes_dir, tmp_path, capsys):
+        manifest = episodes_dir / "episode_001" / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        raw["n_way"] = 2.9
+        manifest.write_text(json.dumps(raw))
+        assert main(["--threads", "1", "eval", "--episodes", str(episodes_dir),
+                     "--out", str(tmp_path / "r.csv")]) == 1
+        assert f"{manifest}: n_way must be an integer, got 2.9" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, message", [
         ('{"n_way": 3,}', "not valid JSON: Expecting property name"),
@@ -460,6 +470,16 @@ class TestUsageErrors:
         assert err.value.code == 2
         assert list(tmp_path.glob("o.*")) == []
 
+    def test_one_class_config_exits_2(self, tmp_path, capsys):
+        # rejected before any episode runs: no output file is written
+        synth = tmp_path / "one_class.json"
+        synth.write_text(json.dumps({**SYNTH, "n_way": 1, "episodes": 3}))
+        assert main(["eval", "--synth", str(synth), "--out", str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config field 'n_way': must be >= 2, or no query can be ranked\n"
+        )
+        assert list(tmp_path.glob("r.*")) == []
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main([])
@@ -469,8 +489,8 @@ class TestUsageErrors:
 @pytest.mark.parametrize("command, config, code, stream, expected", [
     (["eval"], {}, 0, "stdout", "failures: 0 of 1"),
     (["ablate", "--grid", "tse,warp"], {}, 2, "stderr", "unknown toggle 'warp'"),
-    (["eval"], {"n_way": 1}, 1, "stderr",
-     "episode synth0000 failed: ValueError('need at least 2 classes to rank')"),
+    (["eval"], {"height": 5}, 1, "stderr",
+     "episode synth0000 failed: ValueError('grid must have even height and width, got 5x6')"),
 ], ids=["eval", "unknown-toggle", "every-episode-failed"])
 def test_module_exit_codes(tmp_path, command, config, code, stream, expected):
     # the process exit code is main()'s return value

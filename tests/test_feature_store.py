@@ -288,6 +288,15 @@ class TestManifest:
         loaded = EpisodeManifest.load(tmp_path / "manifest.json")
         assert loaded == manifest
 
+    def test_one_class_rejected(self, tmp_path):
+        # a query needs two classes to be ranked; load names the file
+        raw = build_manifest(tmp_path).to_dict()
+        raw["n_way"] = 1
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ManifestError, match=re.escape(f"{path}: n_way must be >= 2, got 1")):
+            EpisodeManifest.load(path)
+
     def test_unbalanced_support_rejected(self, tmp_path):
         with pytest.raises(ManifestError):
             build_manifest(tmp_path, break_support=True)
@@ -582,7 +591,7 @@ class TestEpisode:
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_way=st.integers(1, 3),
+    n_way=st.integers(2, 3),
     k_shot=st.integers(1, 3),
     n_query=st.integers(1, 3),
 )

@@ -254,17 +254,21 @@ class TestClusterTask:
 
     def test_planted_parts_recovered(self):
         sigma_p = 0.05
-        cfg = SynthConfig(seed=31, n_way=1, n_query=12, height=8, width=8,
+        # class 0's images of a two-class episode (a config needs two)
+        cfg = SynthConfig(seed=31, n_way=2, n_query=12, height=8, width=8,
                           channels=32, parts_per_class=4, part_noise=sigma_p,
                           pixel_noise=0.05, shift_strength=0.0, distractor_rate=0.0)
         episode, truth = generate_episode(cfg)
         d = 32
+        qs_labels = np.asarray(episode.query_source_labels)
+        qt_labels = np.asarray(episode.scoring_labels())
         support_locals = np.vstack(
-            [np.asarray(m, float).reshape(-1, d) for grp in episode.support for m in grp]
-            + [np.asarray(m, float).reshape(-1, d) for m in episode.query_source]
+            [np.asarray(m, float).reshape(-1, d) for m in episode.support[0]]
+            + [np.asarray(m, float).reshape(-1, d)
+               for m in episode.query_source[qs_labels == 0]]
         )
         query_locals = np.vstack(
-            [np.asarray(m, float).reshape(-1, d) for m in episode.query_target]
+            [np.asarray(m, float).reshape(-1, d) for m in episode.query_target[qt_labels == 0]]
         )
         cents = cluster_task(support_locals, query_locals, 4)
         prototypes = truth.prototypes[0]
