@@ -306,7 +306,7 @@ class EpisodeManifest:
         try:
             return cls.from_dict(raw)
         except ManifestError as exc:
-            raise ManifestError(f"{path}: {exc}") from None
+            raise ManifestError(f"{path}: {exc}") from exc
 
 
 class Episode:

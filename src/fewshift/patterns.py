@@ -78,7 +78,9 @@ class PooledBlocks:
         m * S) float32 similarity buffer, no larger than the stack in
         elements unless one query's block is (chunk = 1).  Both operands
         are float64 unit rows rounded to float32; the max over a chunk's
-        query positions is written to the float64 pooled array."""
+        query positions is written to the float64 pooled array.  A chunk
+        of one row, one query of one position, is multiplied as two
+        copies of that row, so the buffer has at least two rows."""
         n_q, s, channels = len(self.query_rows), *self.stack.shape[1:]
         if self._q_unit is None:
             queries = take_rows(self.stack, self.query_rows)
@@ -87,11 +89,17 @@ class PooledBlocks:
         s_unit = unit_rows(self.stack[rows].reshape(-1, channels)).astype(np.float32)
         s_unit_t = s_unit.T  # (C, m * S)
         chunk = max(1, self.stack.size // (s * m * s))
-        buf = np.empty((min(chunk, n_q) * s, m * s), dtype=np.float32)
+        buf = np.empty((max(2, min(chunk, n_q) * s), m * s), dtype=np.float32)
         pooled = np.empty((n_q, m, s))
         for a in range(0, n_q, chunk):
             b = min(a + chunk, n_q)
-            sims = np.matmul(self._q_unit[a * s:b * s], s_unit_t, out=buf[:(b - a) * s])
+            q_unit = self._q_unit[a * s:b * s]
+            if len(q_unit) == 1:
+                # numpy multiplies a single row as a matrix-vector product,
+                # whose float32 bits differ from the matrix product's: a
+                # query's cosines would move with its place in the chunks
+                q_unit = q_unit[[0, 0]]
+            sims = np.matmul(q_unit, s_unit_t, out=buf[:len(q_unit)])[:(b - a) * s]
             sims.reshape(b - a, s, m, s).max(axis=1, out=pooled[a:b])
         # clip is monotone, so clipping the pooled maxima equals pooling
         # the clipped cosines

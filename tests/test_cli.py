@@ -40,6 +40,15 @@ def episodes_dir(tmp_path, synth_config):
     return out
 
 
+def truncate_first_tensors(root):
+    """Cut each episode's first tensor file under root inside its header,
+    so every episode fails to load; the cut files, in episode order."""
+    victims = [sorted(d.glob("*.ftns"))[0] for d in sorted(root.glob("episode_*"))]
+    for victim in victims:
+        victim.write_bytes(victim.read_bytes()[:10])
+    return victims
+
+
 def tree_digest(root):
     """sha256 over the sorted (relative path, file bytes) pairs under root."""
     digest = hashlib.sha256()
@@ -210,19 +219,17 @@ class TestEval:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2 and lines[1].startswith("episode_001,")
 
-    def test_every_episode_failed_exits_1(self, tmp_path, capsys):
-        # the semantic fold needs an even grid; an odd one fails each episode
-        synth = tmp_path / "odd_grid.json"
-        synth.write_text(json.dumps({**SYNTH, "height": 5, "episodes": 3}))
+    def test_every_episode_failed_exits_1(self, tmp_path, episodes_dir, capsys):
+        victims = truncate_first_tensors(episodes_dir)
         out = tmp_path / "r.csv"
-        assert main(["eval", "--synth", str(synth), "--out", str(out)]) == 1
+        assert main(["eval", "--episodes", str(episodes_dir), "--out", str(out)]) == 1
         assert out.read_text().startswith("episode_id,") and out.read_text().count("\n") == 1
         summary = out.with_suffix(".summary.txt").read_text()
         assert "episodes: 0\n" in summary and "failures: 3 of 3\n" in summary
         err = capsys.readouterr().err
-        for i in range(3):
-            assert (f"episode synth000{i} failed: "
-                    "ValueError('grid must have even height and width, got 5x6')") in err
+        for i, victim in enumerate(victims):
+            assert (f"episode #{i} failed: "
+                    f"TruncatedError('{victim}: stream ended inside the dims')") in err
 
     def test_seed_override_reproducible(self, tmp_path, synth_config):
         outs = []
@@ -486,19 +493,24 @@ class TestUsageErrors:
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("command, config, code, stream, expected", [
-    (["eval"], {}, 0, "stdout", "failures: 0 of 1"),
-    (["ablate", "--grid", "tse,warp"], {}, 2, "stderr", "unknown toggle 'warp'"),
-    (["eval"], {"height": 5}, 1, "stderr",
-     "episode synth0000 failed: ValueError('grid must have even height and width, got 5x6')"),
+@pytest.mark.parametrize("command, code, stream, expected", [
+    (["eval", "--synth", "{synth}"], 0, "stdout", "failures: 0 of 1"),
+    (["ablate", "--grid", "tse,warp", "--synth", "{synth}"], 2, "stderr",
+     "unknown toggle 'warp'"),
+    (["eval", "--episodes", "{episodes}"], 1, "stderr", "episode #0 failed: TruncatedError("),
 ], ids=["eval", "unknown-toggle", "every-episode-failed"])
-def test_module_exit_codes(tmp_path, command, config, code, stream, expected):
-    # the process exit code is main()'s return value
+def test_module_exit_codes(tmp_path, command, code, stream, expected):
+    # the process exit code is main()'s return value; the one episode
+    # under {episodes} fails to load
     synth = tmp_path / "synth.json"
-    synth.write_text(json.dumps({**SYNTH, **config, "episodes": 1}))
+    synth.write_text(json.dumps({**SYNTH, "episodes": 1}))
+    episodes = tmp_path / "episodes"
+    assert main(["gen", "--config", str(synth), "--out", str(episodes)]) == 0
+    truncate_first_tensors(episodes)
     src = str(Path(fewshift.__file__).resolve().parent.parent)
-    argv = [sys.executable, "-m", "fewshift.cli", "--threads", "1", *command,
-            "--synth", str(synth), "--out", str(tmp_path / "r.csv")]
+    argv = [sys.executable, "-m", "fewshift.cli", "--threads", "1",
+            *[arg.format(synth=synth, episodes=episodes) for arg in command],
+            "--out", str(tmp_path / "r.csv")]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewshift.engine import PipelineConfig, embed_episode
-from fewshift.patterns import PooledBlocks, cross_entropy, score_set, take_rows
+from fewshift.patterns import PooledBlocks, ScoreTable, cross_entropy, score_set, take_rows
 from fewshift.selftrain import promote_and_reclassify
 from fewshift.synthgen import SynthConfig, generate_episode
 
@@ -171,13 +171,11 @@ class TestScoreSet:
         rng = np.random.default_rng(7)
         queries = [random_map(rng) for _ in range(3)]
         classes = [[random_map(rng) for _ in range(2)] for _ in range(3)]
-        table = score_maps(queries, classes)
-        tol = float32_tolerance(8)
-        for q, query in enumerate(queries):
-            for c, cls in enumerate(classes):
-                pat = similarity_pattern(similarity_matrix(query, cls))
-                assert np.allclose(table.patterns[c][q], pat.vector, rtol=0.0, atol=tol)
-                assert table.scores[q, c] == pytest.approx(pat.score, abs=tol)
+        pats = [[similarity_pattern(similarity_matrix(query, cls)) for query in queries]
+                for cls in classes]
+        want = ScoreTable(np.array([[p.score for p in col] for col in pats]).T,
+                          [np.stack([p.vector for p in col]) for col in pats])
+        assert_tables_close(score_maps(queries, classes), want, 8)
 
 
 def float32_tolerance(channels):
@@ -290,10 +288,9 @@ def test_scores_invariant_to_query_order(case, data):
     order = data.draw(st.permutations(range(len(query_rows))))
     base = score_set(PooledBlocks(stack, query_rows), classes)
     permuted = score_set(PooledBlocks(stack, query_rows[order]), classes)
-    tol = float32_tolerance(stack.shape[2])  # the product's rows move
-    assert np.allclose(permuted.scores, base.scores[order], rtol=0.0, atol=tol)
+    assert np.allclose(permuted.scores, base.scores[order], rtol=0.0, atol=1e-12)
     for got, want in zip(permuted.patterns, base.patterns):
-        assert np.allclose(got, want[order], rtol=0.0, atol=tol)
+        assert np.allclose(got, want[order], rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -303,10 +300,9 @@ def test_scores_equivariant_to_class_order(case, data):
     order = data.draw(st.permutations(range(len(classes))))
     base = score_set(PooledBlocks(stack, query_rows), classes)
     permuted = score_set(PooledBlocks(stack, query_rows), [classes[c] for c in order])
-    tol = float32_tolerance(stack.shape[2])  # the product's columns move
-    assert np.allclose(permuted.scores, base.scores[:, order], rtol=0.0, atol=tol)
+    assert np.allclose(permuted.scores, base.scores[:, order], rtol=0.0, atol=1e-12)
     for c, got in zip(order, permuted.patterns):
-        assert np.allclose(got, base.patterns[c], rtol=0.0, atol=tol)
+        assert np.allclose(got, base.patterns[c], rtol=0.0, atol=1e-12)
 
 
 class TestPooledBlocks:
@@ -453,6 +449,23 @@ def test_query_chunks_match_reference(monkeypatch, positions, channels, n_querie
                             channels)
     assert [[rows for rows, *_ in products] for _, _, products in calls] == chunk_rows
     assert all(len(pooled) == 1 for _, pooled, _ in calls)
+
+
+def test_lone_query_row_is_pooled_as_in_a_full_chunk(monkeypatch):
+    # one position per image and chunks of 2, 2 and 1 queries; numpy
+    # would multiply the lone row as a matrix-vector product, whose
+    # float32 bits differ from the matrix product's, so each product
+    # has two rows and a query's scores do not move with the query order
+    stack = np.random.default_rng(0).uniform(-1, 1, size=(16, 1, 2))
+    query_rows, classes = np.arange(5), [[5 + c] for c in range(11)]
+    calls = record_pooling(monkeypatch)
+    base = score_set(PooledBlocks(stack, query_rows), classes)
+    order = query_rows[::-1]
+    permuted = score_set(PooledBlocks(stack, query_rows[order]), classes)
+    assert np.array_equal(permuted.scores, base.scores[order])
+    for got, want in zip(permuted.patterns, base.patterns):
+        assert np.array_equal(got, want[order])
+    assert [[rows for rows, *_ in products] for _, _, products in calls] == [[2, 2, 2]] * 2
 
 
 class TestClassificationLoss:
